@@ -17,7 +17,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -81,16 +80,7 @@ class Arena {
     finalizers_.clear();
     for (Block& b : blocks_) b.used = 0;
     cursor_ = 0;
-    bytes_allocated_.store(0, std::memory_order_relaxed);
   }
-
-  /// Total bytes handed out since the last reset(). Safe to read from any
-  /// thread (the Sweep admission gate polls every worker's arena while
-  /// cells are allocating); only the owning thread ever allocates.
-  [[nodiscard]] std::size_t bytes_allocated() const {
-    return bytes_allocated_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::size_t blocks() const { return blocks_.size(); }
 
  private:
   static constexpr std::size_t kDefaultBlockBytes = 64 * 1024;
@@ -115,7 +105,6 @@ class Arena {
     const std::size_t offset = static_cast<std::size_t>(aligned - base);
     if (offset + bytes > b.size) return nullptr;
     b.used = offset + bytes;
-    bytes_allocated_.fetch_add(bytes, std::memory_order_relaxed);
     return b.data.get() + offset;
   }
 
@@ -123,8 +112,6 @@ class Arena {
   std::vector<Block> blocks_;
   std::size_t cursor_ = 0;  ///< First block with possible free space.
   std::vector<Finalizer> finalizers_;
-  /// Relaxed atomic: a cross-thread progress gauge, not a synchronizer.
-  std::atomic<std::size_t> bytes_allocated_{0};
 };
 
 }  // namespace impact::exec

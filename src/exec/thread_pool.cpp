@@ -1,6 +1,8 @@
 #include "exec/thread_pool.hpp"
 
 #include <algorithm>
+#include <cctype>
+#include <cstdio>
 #include <cstdlib>
 
 namespace impact::exec {
@@ -17,10 +19,21 @@ std::size_t ThreadPool::current_worker_index() { return tls_worker_index; }
 
 unsigned ThreadPool::default_threads() {
   if (const char* env = std::getenv("IMPACT_THREADS")) {
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0' && v >= 1) {
-      return static_cast<unsigned>(std::min(v, 256ul));
+    // strtoul accepts a leading '-' and wraps the negated value, which the
+    // clamp below would then turn into 256 workers. Treat it as unset.
+    const char* first = env;
+    while (std::isspace(static_cast<unsigned char>(*first)) != 0) ++first;
+    if (*first == '-') {
+      std::fprintf(stderr,
+                   "exec: negative IMPACT_THREADS '%s' ignored; using "
+                   "hardware concurrency\n",
+                   env);
+    } else {
+      char* end = nullptr;
+      const unsigned long v = std::strtoul(env, &end, 10);
+      if (end != env && *end == '\0' && v >= 1) {
+        return static_cast<unsigned>(std::min(v, 256ul));
+      }
     }
   }
   const unsigned hw = std::thread::hardware_concurrency();

@@ -38,7 +38,8 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   /// IMPACT_THREADS if set (clamped to [1, 256]), else
-  /// hardware_concurrency, else 1.
+  /// hardware_concurrency, else 1. A negative IMPACT_THREADS counts as
+  /// unset (with a warning on stderr).
   [[nodiscard]] static unsigned default_threads();
 
   [[nodiscard]] unsigned size() const {

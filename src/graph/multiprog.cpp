@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
 
 #include "obs/registry.hpp"
 #include "obs/scope.hpp"
@@ -226,7 +227,8 @@ std::vector<DefenseOverheads> evaluate_defense_matrix(
                 {build});
     }
   }
-  sweep.run();
+  const exec::RunReport report = sweep.run();
+  if (!report.ok()) throw std::runtime_error(report.errors.front().message);
   return out;
 }
 

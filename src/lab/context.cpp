@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "exec/thread_pool.hpp"
-#include "resil/journal.hpp"
 #include "store/cell_runner.hpp"
 #include "store/result_cache.hpp"
 #include "store/workload_store.hpp"
@@ -44,6 +43,11 @@ std::uint32_t Context::u32(std::string_view name) const {
 
 std::uint64_t Context::u64(std::string_view name) const {
   const std::string value = str(name);
+  // std::stoull accepts a leading '-' and wraps the negated value, so
+  // "-1" would silently become 2^64 - 1. No valid value contains a '-'.
+  if (value.find('-') != std::string::npos) {
+    bad_value(spec_, name, value, "an integer");
+  }
   try {
     std::size_t used = 0;
     const std::uint64_t v = std::stoull(value, &used);
@@ -95,8 +99,6 @@ store::CellRunner& Context::runner() {
   if (!runner_) {
     runner_ =
         std::make_unique<store::CellRunner>(cache(), workloads(), &pool());
-    journal_ = resil::journal_from_env();
-    if (journal_) runner_->set_journal(journal_.get());
   }
   return *runner_;
 }

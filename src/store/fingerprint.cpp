@@ -4,7 +4,6 @@
 #include <bit>
 #include <cstdio>
 
-#include "obs/scope.hpp"
 #include "util/assert.hpp"
 
 namespace impact::store {
@@ -61,7 +60,10 @@ bool Fingerprint::from_hex(std::string_view text, Fingerprint* out) {
 
 Canon::Canon(std::uint32_t schema_salt) {
   field("__schema", static_cast<std::uint64_t>(schema_salt));
-  field("__obs", obs::kCompiled);
+  // Always true. The field once recorded whether the telemetry spine was
+  // compiled in; it stays so every fingerprint (and every record already
+  // on disk) keeps its address without a kSchemaVersion bump.
+  field("__obs", true);
 }
 
 void Canon::add(std::string_view name, char tag, std::string value) {

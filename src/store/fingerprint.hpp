@@ -60,9 +60,7 @@ class Canon {
  public:
   /// `schema_salt` defaults to kSchemaVersion; tests inject other salts to
   /// pin the invalidation behaviour. The salt participates as a hidden
-  /// "__schema" field, and "__obs" records whether the telemetry spine is
-  /// compiled in (cached records embed obs::Snapshots, whose content
-  /// depends on it).
+  /// "__schema" field, next to a constant "__obs" field (see Canon::Canon).
   explicit Canon(std::uint32_t schema_salt = kSchemaVersion);
 
   void field(std::string_view name, std::uint64_t value);

@@ -1,8 +1,8 @@
 // Content-addressed cache of experiment-cell results.
 //
 // A cell's Fingerprint covers everything that determines its output
-// (configs, seeds, policies, fault profile, schema version, obs build
-// flavor — see store/fingerprint.hpp), so a hit can replace the whole
+// (configs, seeds, policies, fault profile, schema version — see
+// store/fingerprint.hpp), so a hit can replace the whole
 // simulation: two runs with equal fingerprints are bit-identical by
 // construction, and the IMPACT_STORE_VERIFY mode re-simulates hits to
 // prove it.
@@ -21,9 +21,9 @@
 //     Misses fall through to disk; disk hits are pulled into memory.
 //     Writes go through a temp file + fsync + rename + directory fsync so
 //     a crashed run never leaves a truncated record behind (parse() would
-//     reject one anyway) and a committed record survives power loss — the
-//     resil journal counts on this: its commit records promise the cache
-//     still holds the bytes after any crash.
+//     reject one anyway) and a written record survives power loss. This
+//     is the resume mechanism: a re-run after a crash finds every cell
+//     the interrupted run published and re-simulates only the rest.
 //
 // Environment:
 //   IMPACT_STORE=0        disable the cache entirely (every probe misses,

@@ -211,7 +211,6 @@ TEST(AccessBatch, FaultInjectorFiresIdentically) {
 }
 
 TEST(AccessBatch, ObsCounterTotalsEqualBetweenPaths) {
-  if (!obs::kCompiled) GTEST_SKIP() << "obs compiled out";
   const DramConfig config;
   const Stream s = random_stream(config, 2048, kSeed + 7);
   obs::Snapshot scalar_snap;

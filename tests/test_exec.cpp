@@ -1,16 +1,20 @@
 // Tests of the parallel experiment engine (src/exec/): thread-pool
-// behaviour (exception propagation, degenerate batches), seed derivation,
-// sweep dependency ordering, and — most importantly — the determinism
+// behaviour (exception propagation, degenerate batches, IMPACT_THREADS
+// parsing), seed derivation, sweep dependency ordering and failure
+// isolation, and — most importantly — the determinism
 // contract: parallel sweeps must be byte-identical to serial ones for any
 // pool size. Run under IMPACT_SANITIZE=thread by tools/check.sh.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <iterator>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "exec/sweep.hpp"
@@ -84,6 +88,30 @@ TEST(ThreadPool, SingleWorkerPoolStillCompletes) {
   EXPECT_EQ(counter.load(), 10);
 }
 
+TEST(ThreadPool, NegativeEnvThreadCountCountsAsUnset) {
+  // strtoul wraps "-1" to ULONG_MAX, which the [1, 256] clamp used to turn
+  // into 256 workers. A negative count must warn and fall back instead.
+  std::optional<std::string> saved;
+  if (const char* old = std::getenv("IMPACT_THREADS")) saved = old;
+  const unsigned hw = std::thread::hardware_concurrency();
+  const unsigned fallback = hw > 0 ? hw : 1;
+  for (const char* value : {"-1", "-4", " -256"}) {
+    ::setenv("IMPACT_THREADS", value, 1);
+    ::testing::internal::CaptureStderr();
+    const unsigned threads = exec::ThreadPool::default_threads();
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(threads, fallback) << "IMPACT_THREADS='" << value << "'";
+    EXPECT_NE(err.find("IMPACT_THREADS"), std::string::npos) << value;
+  }
+  ::setenv("IMPACT_THREADS", "3", 1);
+  EXPECT_EQ(exec::ThreadPool::default_threads(), 3u);
+  if (saved) {
+    ::setenv("IMPACT_THREADS", saved->c_str(), 1);
+  } else {
+    ::unsetenv("IMPACT_THREADS");
+  }
+}
+
 TEST(DeriveSeed, DeterministicAndDistinct) {
   EXPECT_EQ(exec::derive_seed(42, 0), exec::derive_seed(42, 0));
   std::set<std::uint64_t> seeds;
@@ -101,7 +129,7 @@ TEST(Sweep, SerialRunsInInsertionOrder) {
   for (int i = 0; i < 5; ++i) {
     sweep.add("t" + std::to_string(i), [&order, i] { order.push_back(i); });
   }
-  sweep.run();
+  ASSERT_TRUE(sweep.run().ok());
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
@@ -118,8 +146,38 @@ TEST(Sweep, DependenciesRunBeforeDependents) {
               },
               {build});
   }
-  sweep.run();
+  ASSERT_TRUE(sweep.run().ok());
   EXPECT_EQ(violations.load(), 0);
+}
+
+TEST(Sweep, ParallelRunsEveryTaskExactlyOnce) {
+  // Trivial roots retire while run() is still submitting the others; a
+  // dependent they unblock must not be dispatched a second time.
+  for (unsigned threads : {2u, 4u, 8u}) {
+    exec::ThreadPool pool(threads);
+    for (int rep = 0; rep < 50; ++rep) {
+      exec::Sweep sweep(&pool);
+      constexpr std::size_t kRoots = 4;
+      constexpr std::size_t kChildren = 8;
+      std::vector<std::atomic<int>> runs(kRoots * (kChildren + 1));
+      for (std::size_t r = 0; r < kRoots; ++r) {
+        const auto root = sweep.add("root", [&runs, id = sweep.size()] {
+          ++runs[id];
+        });
+        for (std::size_t c = 0; c < kChildren; ++c) {
+          sweep.add("child", [&runs, id = sweep.size()] { ++runs[id]; },
+                    {root});
+        }
+      }
+      const exec::RunReport report = sweep.run();
+      ASSERT_TRUE(report.ok()) << threads << " thread(s)";
+      ASSERT_EQ(report.completed, runs.size());
+      for (std::size_t i = 0; i < runs.size(); ++i) {
+        ASSERT_EQ(runs[i].load(), 1) << "task " << i << ", " << threads
+                                     << " thread(s)";
+      }
+    }
+  }
 }
 
 TEST(Sweep, RejectsForwardDependencies) {
@@ -128,15 +186,26 @@ TEST(Sweep, RejectsForwardDependencies) {
   EXPECT_THROW(sweep.add("b", [] {}, {t0 + 1}), std::invalid_argument);
 }
 
-TEST(Sweep, ErrorSkipsDependentsAndRethrows) {
+TEST(Sweep, ErrorSkipsDependentsAndIsReported) {
   exec::ThreadPool pool(2);
   exec::Sweep sweep(&pool);
   std::atomic<bool> dependent_ran{false};
   const auto bad =
       sweep.add("bad", [] { throw std::runtime_error("build failed"); });
-  sweep.add("child", [&dependent_ran] { dependent_ran = true; }, {bad});
-  EXPECT_THROW(sweep.run(), std::runtime_error);
+  const auto child =
+      sweep.add("child", [&dependent_ran] { dependent_ran = true; }, {bad});
+  const exec::RunReport report = sweep.run();
   EXPECT_FALSE(dependent_ran.load());
+  EXPECT_FALSE(report.ok());
+  EXPECT_EQ(report.failed, 1u);
+  EXPECT_EQ(report.skipped, 1u);
+  ASSERT_EQ(report.errors.size(), 2u);
+  EXPECT_EQ(report.errors[0].task, bad);
+  EXPECT_EQ(report.errors[0].kind, exec::CellError::kFailed);
+  EXPECT_EQ(report.errors[0].message, "build failed");
+  EXPECT_EQ(report.errors[1].task, child);
+  EXPECT_EQ(report.errors[1].kind, exec::CellError::kSkipped);
+  EXPECT_EQ(report.errors[1].attempts, 0u);
 }
 
 TEST(SweepCache, ProbeHitSkipsFunctionAndCounts) {
@@ -148,7 +217,7 @@ TEST(SweepCache, ProbeHitSkipsFunctionAndCounts) {
       {[] { return true; }, [&](const obs::Snapshot&) { published = true; }});
   sweep.add_cached(
       "miss", [] {}, {[] { return false; }, {}});
-  const auto report = sweep.run_resilient();
+  const auto report = sweep.run();
   EXPECT_TRUE(report.ok());
   EXPECT_FALSE(ran) << "a probe hit must skip the cell function";
   EXPECT_FALSE(published) << "publish only runs after the function";
@@ -170,7 +239,7 @@ TEST(SweepCache, HookExceptionsNeverBreakTheSweep) {
       "bad-publish", [&] { ++ran; },
       {[] { return false; },
        [](const obs::Snapshot&) { throw std::runtime_error("publish"); }});
-  const auto report = sweep.run_resilient();
+  const auto report = sweep.run();
   EXPECT_TRUE(report.ok());
   EXPECT_EQ(ran, 2);
   EXPECT_EQ(report.cache_hits, 0u);
@@ -188,21 +257,18 @@ TEST(SweepCache, HitLeavesSnapshotSlotEmptyButValid) {
     const auto miss = sweep.add_cached(
         "miss",
         [] {
-          // Touch the obs spine so the miss cell's snapshot is non-empty
-          // when telemetry is compiled in.
+          // Touch the obs spine so the miss cell's snapshot is non-empty.
           if (auto c = obs::counter("exec_test.cache_cells")) c.add(1);
         },
         {[] { return false; }, {}});
-    const auto report = sweep.run_resilient();
+    const auto report = sweep.run();
     ASSERT_TRUE(report.ok()) << threads << " thread(s)";
     // Preallocated per-cell slots: a hit's slot exists (mergeable) but
     // holds nothing — the cell never executed, so any content would be
     // double-counted telemetry.
     ASSERT_EQ(report.snapshots.size(), 2u);
     EXPECT_TRUE(report.snapshots[hit].empty());
-    if (obs::kCompiled) {
-      EXPECT_EQ(report.snapshots[miss].counter("exec_test.cache_cells"), 1u);
-    }
+    EXPECT_EQ(report.snapshots[miss].counter("exec_test.cache_cells"), 1u);
     // Merging across hit and miss slots must work without special-casing.
     obs::Snapshot total = report.snapshots[hit];
     total.merge(report.snapshots[miss]);
@@ -210,7 +276,7 @@ TEST(SweepCache, HitLeavesSnapshotSlotEmptyButValid) {
   }
 }
 
-TEST(SweepCache, PlainRunHonoursProbeAndPublish) {
+TEST(SweepCache, MissRunsAndPublishes) {
   exec::Sweep sweep;
   bool ran = false;
   bool published = false;
@@ -219,7 +285,7 @@ TEST(SweepCache, PlainRunHonoursProbeAndPublish) {
   sweep.add_cached(
       "miss", [] {},
       {[] { return false; }, [&](const obs::Snapshot&) { published = true; }});
-  sweep.run();  // run(), not run_resilient(): same cache semantics.
+  ASSERT_TRUE(sweep.run().ok());
   EXPECT_FALSE(ran);
   EXPECT_TRUE(published);
 }
@@ -231,7 +297,7 @@ TEST(SweepCache, HitSatisfiesDependents) {
       "producer", [] { FAIL() << "cached producer must not run"; },
       {[] { return true; }, {}});
   sweep.add("consumer", [&] { dependent_ran = true; }, {producer});
-  const auto report = sweep.run_resilient();
+  const auto report = sweep.run();
   EXPECT_TRUE(report.ok());
   EXPECT_TRUE(dependent_ran)
       << "a cache hit completes the task; dependents must proceed";

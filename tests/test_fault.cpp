@@ -309,7 +309,7 @@ std::vector<CellResult> run_fault_sweep(exec::ThreadPool* pool) {
                             r.report.elapsed_cycles};
     });
   }
-  sweep.run();
+  EXPECT_TRUE(sweep.run().ok());
   return cells;
 }
 
@@ -368,7 +368,7 @@ TEST(ResilientSweep, TransientFailuresAreRetriedToSuccess) {
   exec::RetryPolicy policy;
   policy.max_attempts = 4;
   policy.backoff_base = std::chrono::microseconds{1};
-  const auto report = sweep.run_resilient(policy);
+  const auto report = sweep.run(policy);
   EXPECT_TRUE(report.ok());
   EXPECT_EQ(report.completed, 1u);
   EXPECT_EQ(report.retries, 2u);
@@ -387,7 +387,7 @@ TEST(ResilientSweep, PermanentFailureIsIsolated) {
   exec::RetryPolicy policy;
   policy.max_attempts = 2;
   policy.backoff_base = std::chrono::microseconds{1};
-  const auto report = sweep.run_resilient(policy);
+  const auto report = sweep.run(policy);
 
   EXPECT_FALSE(report.ok());
   EXPECT_EQ(report.tasks, 4u);
@@ -400,9 +400,9 @@ TEST(ResilientSweep, PermanentFailureIsIsolated) {
   EXPECT_EQ(report.errors[0].task, broken);
   EXPECT_EQ(report.errors[0].label, "broken");
   EXPECT_EQ(report.errors[0].attempts, 2u);
-  EXPECT_FALSE(report.errors[0].skipped);
+  EXPECT_EQ(report.errors[0].kind, exec::CellError::kFailed);
   EXPECT_EQ(report.errors[0].message, "cell permanently down");
-  EXPECT_TRUE(report.errors[1].skipped);
+  EXPECT_EQ(report.errors[1].kind, exec::CellError::kSkipped);
   EXPECT_EQ(report.errors[1].label, "dependent");
   EXPECT_EQ(report.errors[1].attempts, 0u);
   EXPECT_NE(report.summary().find("2/4"), std::string::npos);
@@ -418,7 +418,7 @@ TEST(ResilientSweep, NonTransientErrorsFailFastByDefault) {
   exec::RetryPolicy policy;
   policy.max_attempts = 5;
   policy.backoff_base = std::chrono::microseconds{1};
-  const auto report = sweep.run_resilient(policy);
+  const auto report = sweep.run(policy);
   EXPECT_EQ(report.failed, 1u);
   EXPECT_EQ(attempts, 1);  // No retry budget burned on a permanent bug.
 
@@ -429,7 +429,7 @@ TEST(ResilientSweep, NonTransientErrorsFailFastByDefault) {
     throw std::logic_error("still broken");
   });
   policy.retry_all = true;
-  (void)retry_all_sweep.run_resilient(policy);
+  (void)retry_all_sweep.run(policy);
   EXPECT_EQ(all_attempts, 5);
 }
 
@@ -453,7 +453,7 @@ TEST(ResilientSweep, ParallelIsolationMatchesSerial) {
     exec::Sweep sweep(&pool);
     std::vector<std::atomic<int>> runs(6);
     build(sweep, runs);
-    const auto report = sweep.run_resilient(policy);
+    const auto report = sweep.run(policy);
     EXPECT_EQ(report.completed, 6u) << threads << " threads";
     EXPECT_EQ(report.failed, 1u);
     EXPECT_EQ(report.skipped, 1u);
@@ -467,7 +467,7 @@ TEST(ResilientSweep, ParallelIsolationMatchesSerial) {
 
 TEST(ResilientSweep, EmptySweepReportsCleanRun) {
   exec::Sweep sweep(nullptr);
-  const auto report = sweep.run_resilient();
+  const auto report = sweep.run();
   EXPECT_TRUE(report.ok());
   EXPECT_EQ(report.tasks, 0u);
 }

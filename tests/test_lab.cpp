@@ -149,10 +149,23 @@ TEST(LabContext, UndeclaredAndUnparsableParamsThrow) {
   Context ctx(spec, Args{});
   EXPECT_THROW((void)ctx.str("rows"), std::invalid_argument);
 
-  Args args;
-  args.params["banks"] = "not-a-number";
-  Context bad(spec, std::move(args));
-  EXPECT_THROW((void)bad.u32("banks"), std::invalid_argument);
+  // A negative count is not an integer either: std::stoull would parse
+  // "-18446744073709550592" as 1024 (the negation wraps modulo 2^64).
+  for (const char* value :
+       {"not-a-number", "-18446744073709550592", "-1", " -5", "-0"}) {
+    Args args;
+    args.params["banks"] = value;
+    Context bad(spec, std::move(args));
+    try {
+      (void)bad.u64("banks");
+      ADD_FAILURE() << "'" << value << "' was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("is not an integer"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW((void)bad.u32("banks"), std::invalid_argument) << value;
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -176,9 +189,8 @@ TEST(LabRender, Fig11GoldenBytes) {
       cell.stats.row_hit_rate = 0.5 + 0.05 * static_cast<double>(w);
     }
   }
-  // Snapshots stay empty, so the rendering is identical with and without
-  // the obs spine (-DIMPACT_OBS=OFF) and the grid-totals section is
-  // skipped.
+  // Snapshots stay empty, so the rows come from the RunStats cells and the
+  // grid-totals section is skipped.
   const std::string golden =
       R"(| workload | MPKI  | row-hit rate | open-row (cyc) | CRP overhead | CTD overhead | adaptive overhead (ext.) |
 |----------|-------|--------------|----------------|--------------|--------------|--------------------------|

@@ -1,34 +1,27 @@
-// Crash tolerance (src/resil/ + the guarded sweep engine): journal
-// recovery (round-trip, torn tail, corrupt entries, identity mismatch),
-// resume semantics (journal = proof, cache = bytes), kill-torture
-// (SIGKILL a child mid-sweep, resume, pin bit-identity against an
-// uninterrupted reference — serial and pools {2,8}), deadlines + the
-// watchdog, admission-gate shedding, and the recoverable-env fixes.
-#include <fcntl.h>
+// Crash tolerance: kill-torture (SIGKILL a child mid-sweep, re-run it over
+// the same on-disk ResultCache, pin bit-identity against an uninterrupted
+// reference — serial and pools {2,8}), durable store writes, and the
+// recoverable-env fixes.
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <memory>
-#include <set>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "exec/sweep.hpp"
+#include "exec/thread_pool.hpp"
 #include "fault/injector.hpp"
-#include "resil/journal.hpp"
 #include "store/cell_runner.hpp"
 
 namespace impact {
@@ -53,14 +46,14 @@ std::string read_file(const fs::path& path) {
 }
 
 // ---------------------------------------------------------------------------
-// Kill-torture: the acceptance criterion of the whole extension. A child
-// process runs a journaled, disk-cached CellRunner grid and SIGKILLs
-// itself mid-sweep (deterministically: the victim cell first waits until
-// the journal holds at least one commit record, so a resume always has
-// history to replay). A second child with the same store + journal resumes
-// and must retire the same cells with the same bytes as an uninterrupted
-// reference run. Defined first in this file so no earlier in-process test
-// has started (and joined) threads before the forks.
+// Kill-torture. A child process runs a disk-cached CellRunner grid and
+// SIGKILLs itself mid-sweep (deterministically: the victim cell first
+// waits until the store holds at least one durable record, so a re-run
+// always has something to resume from). A second child over the same
+// store must retire the same cells with the same bytes as an
+// uninterrupted reference run, satisfying at least one cell from the
+// cache. Defined first in this file so no earlier in-process test has
+// started (and joined) threads before the forks.
 // ---------------------------------------------------------------------------
 
 constexpr std::size_t kTortureCells = 8;
@@ -72,8 +65,17 @@ store::Fingerprint torture_fingerprint(std::size_t i) {
   return c.fingerprint();
 }
 
+/// True once `dir` holds a renamed (durable) `.rec` file.
+bool has_durable_record(const fs::path& dir) {
+  std::error_code ec;
+  for (const auto& entry : fs::directory_iterator(dir, ec)) {
+    if (entry.path().extension() == ".rec") return true;
+  }
+  return false;
+}
+
 /// Runs the torture grid in the calling (child) process and writes a diag
-/// file: "tasks completed failed skipped resumed\n" followed by the
+/// file: "tasks completed failed skipped cache_hits\n" followed by the
 /// rendered rows. `kill_at >= 0` makes that cell SIGKILL the process on
 /// the first run only (a marker file distinguishes runs).
 void child_run_grid(const fs::path& base, unsigned pool_threads, int kill_at,
@@ -86,12 +88,7 @@ void child_run_grid(const fs::path& base, unsigned pool_threads, int kill_at,
   if (pool_threads > 1) {
     pool = std::make_unique<exec::ThreadPool>(pool_threads);
   }
-  resil::Journal::Options journal_options;
-  journal_options.path = (base / "journal").string();
-  resil::Journal journal(journal_options);
-
   store::CellRunner runner(cache, workloads, pool.get());
-  runner.set_journal(&journal);
 
   const fs::path marker = base / "killed";
   const auto result = runner.rows(
@@ -100,13 +97,12 @@ void child_run_grid(const fs::path& base, unsigned pool_threads, int kill_at,
         if (kill_at >= 0 && i == static_cast<std::size_t>(kill_at) &&
             !fs::exists(marker)) {
           { std::ofstream out(marker); out << "1\n"; }
-          // Guarantee the resume has history: wait for one durable commit
-          // record before dying. Serial runs already committed every
-          // earlier cell; parallel runs wait out their siblings.
+          // Guarantee the re-run has something to resume: wait for one
+          // durable record before dying. Serial runs already published
+          // every earlier cell; parallel runs wait out their siblings.
           const auto give_up =
               std::chrono::steady_clock::now() + std::chrono::seconds(30);
-          while (read_file(base / "journal").find("\ncommit ") ==
-                     std::string::npos &&
+          while (!has_durable_record(base / "store") &&
                  std::chrono::steady_clock::now() < give_up) {
             std::this_thread::sleep_for(std::chrono::milliseconds(1));
           }
@@ -119,7 +115,7 @@ void child_run_grid(const fs::path& base, unsigned pool_threads, int kill_at,
   std::ofstream out(diag, std::ios::binary);
   out << result.report.tasks << ' ' << result.report.completed << ' '
       << result.report.failed << ' ' << result.report.skipped << ' '
-      << result.report.resumed << '\n';
+      << result.report.cache_hits << '\n';
   for (const auto& row : result.rows) {
     for (const auto& cell : row) out << cell << '\x1f';
     out << '\n';
@@ -145,7 +141,7 @@ struct DiagOutcome {
   std::size_t completed = 0;
   std::size_t failed = 0;
   std::size_t skipped = 0;
-  std::size_t resumed = 0;
+  std::size_t cache_hits = 0;
   std::string rows;
 };
 
@@ -154,7 +150,7 @@ DiagOutcome parse_diag(const fs::path& diag) {
   const std::string bytes = read_file(diag);
   std::istringstream in(bytes);
   in >> out.tasks >> out.completed >> out.failed >> out.skipped >>
-      out.resumed;
+      out.cache_hits;
   const auto newline = bytes.find('\n');
   if (newline != std::string::npos) out.rows = bytes.substr(newline + 1);
   return out;
@@ -166,25 +162,25 @@ TEST(ResilKillTorture, ResumedRunReproducesUninterruptedRun) {
     const fs::path ref_base = fresh_dir("ref" + std::to_string(threads));
     const fs::path base = fresh_dir("tort" + std::to_string(threads));
 
-    // Uninterrupted reference (own store + journal).
+    // Uninterrupted reference (own store).
     const int ref_status =
         spawn_grid(ref_base, threads, -1, ref_base / "diag");
     ASSERT_TRUE(WIFEXITED(ref_status) && WEXITSTATUS(ref_status) == 0);
     const DiagOutcome ref = parse_diag(ref_base / "diag");
     ASSERT_EQ(ref.tasks, kTortureCells);
     ASSERT_EQ(ref.completed, kTortureCells);
-    ASSERT_EQ(ref.resumed, 0u);
+    ASSERT_EQ(ref.cache_hits, 0u);
 
-    // Victim: dies by SIGKILL mid-sweep, after >= 1 durable commit.
+    // Victim: dies by SIGKILL mid-sweep, after >= 1 durable record.
     const int killed_status = spawn_grid(base, threads, 3, base / "unused");
     ASSERT_TRUE(WIFSIGNALED(killed_status));
     ASSERT_EQ(WTERMSIG(killed_status), SIGKILL);
     ASSERT_FALSE(fs::exists(base / "unused")) << "victim wrote its diag";
-    ASSERT_TRUE(fs::exists(base / "journal"));
+    ASSERT_TRUE(has_durable_record(base / "store"));
 
-    // Resume with the same store + journal: the grid must finish and be
-    // bit-identical to the reference (resumed/cache_hits legitimately
-    // differ — they describe *how* cells were satisfied, not the result).
+    // Re-run over the same store: the grid must finish and be
+    // bit-identical to the reference (cache_hits legitimately differs — it
+    // describes *how* cells were satisfied, not the result).
     const int resumed_status = spawn_grid(base, threads, 3, base / "diag");
     ASSERT_TRUE(WIFEXITED(resumed_status) &&
                 WEXITSTATUS(resumed_status) == 0);
@@ -194,464 +190,12 @@ TEST(ResilKillTorture, ResumedRunReproducesUninterruptedRun) {
     EXPECT_EQ(resumed.failed, ref.failed);
     EXPECT_EQ(resumed.skipped, ref.skipped);
     EXPECT_EQ(resumed.rows, ref.rows);
-    EXPECT_GE(resumed.resumed, 1u)
-        << "the resumed run replayed nothing from the journal";
+    EXPECT_GE(resumed.cache_hits, 1u)
+        << "the re-run satisfied nothing from the interrupted run's store";
 
     fs::remove_all(ref_base);
     fs::remove_all(base);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Journal recovery.
-// ---------------------------------------------------------------------------
-
-resil::Journal::Options journal_at(const fs::path& path) {
-  resil::Journal::Options options;
-  options.path = path.string();
-  return options;
-}
-
-TEST(ResilJournal, RoundTripRecoversCommittedSet) {
-  const fs::path dir = fresh_dir("roundtrip");
-  const fs::path path = dir / "j";
-  {
-    resil::Journal j(journal_at(path));
-    j.bind(0x1111, 0x2222, 4);
-    j.cell_begin(0, "a");
-    j.cell_commit(0);
-    j.cell_commit(2);
-    j.cell_fail(1, "boom");
-    exec::RunReport report;
-    report.completed = 2;
-    j.end_run(report);
-    EXPECT_FALSE(j.stats().resumed);
-  }
-  resil::Journal j2(journal_at(path));
-  j2.bind(0x1111, 0x2222, 4);
-  EXPECT_TRUE(j2.committed(0));
-  EXPECT_FALSE(j2.committed(1));  // fail is not commit.
-  EXPECT_TRUE(j2.committed(2));
-  EXPECT_FALSE(j2.committed(3));
-  const resil::Journal::Stats stats = j2.stats();
-  EXPECT_TRUE(stats.resumed);
-  EXPECT_EQ(stats.committed_recovered, 2u);
-  EXPECT_EQ(stats.truncated_bytes, 0u);
-  fs::remove_all(dir);
-}
-
-TEST(ResilJournal, TornTailIsTruncatedAndAppendsStillWork) {
-  const fs::path dir = fresh_dir("torn");
-  const fs::path path = dir / "j";
-  {
-    resil::Journal j(journal_at(path));
-    j.bind(7, 9, 4);
-    j.cell_commit(0);
-    j.cell_commit(1);
-  }
-  const std::size_t intact_size = fs::file_size(path);
-  {
-    // The torn tail of a crash mid-append: a record with no CRC suffix.
-    std::ofstream out(path, std::ios::binary | std::ios::app);
-    out << "commit 3";
-  }
-  {
-    resil::Journal j(journal_at(path));
-    j.bind(7, 9, 4);
-    EXPECT_TRUE(j.committed(0));
-    EXPECT_TRUE(j.committed(1));
-    EXPECT_FALSE(j.committed(3)) << "a torn record must not count";
-    EXPECT_GT(j.stats().truncated_bytes, 0u);
-    // Recovery physically truncated before the bind's new run record.
-    j.cell_commit(3);
-  }
-  EXPECT_GT(fs::file_size(path), intact_size);
-  resil::Journal j3(journal_at(path));
-  j3.bind(7, 9, 4);
-  EXPECT_TRUE(j3.committed(3)) << "appends after recovery must persist";
-  fs::remove_all(dir);
-}
-
-TEST(ResilJournal, CorruptEntryDropsItselfAndEverythingAfter) {
-  const fs::path dir = fresh_dir("corrupt");
-  const fs::path path = dir / "j";
-  {
-    resil::Journal j(journal_at(path));
-    j.bind(5, 6, 4);
-    j.cell_commit(0);
-    j.cell_commit(1);
-    j.cell_commit(2);
-  }
-  std::string bytes = read_file(path);
-  const std::size_t pos = bytes.find("commit 1 #");
-  ASSERT_NE(pos, std::string::npos);
-  // Flip the first CRC digit: the entry no longer verifies, and a suffix
-  // of an unverifiable entry cannot be trusted either.
-  const std::size_t crc_pos = pos + std::string("commit 1 #").size();
-  bytes[crc_pos] = bytes[crc_pos] == 'f' ? '0' : 'f';
-  { std::ofstream out(path, std::ios::binary); out << bytes; }
-
-  resil::Journal j(journal_at(path));
-  j.bind(5, 6, 4);
-  EXPECT_TRUE(j.committed(0));
-  EXPECT_FALSE(j.committed(1));
-  EXPECT_FALSE(j.committed(2)) << "records after a corrupt entry survive";
-  EXPECT_GT(j.stats().truncated_bytes, 0u);
-  fs::remove_all(dir);
-}
-
-TEST(ResilJournal, ForeignIdentityResetsTheFile) {
-  const fs::path dir = fresh_dir("foreign");
-  const fs::path path = dir / "j";
-  {
-    resil::Journal j(journal_at(path));
-    j.bind(1, 2, 4);
-    j.cell_commit(0);
-    j.cell_commit(1);
-  }
-  resil::Journal j(journal_at(path));
-  j.bind(9, 9, 4);  // Different sweep: resuming would be corruption.
-  EXPECT_FALSE(j.stats().resumed);
-  EXPECT_FALSE(j.committed(0));
-  EXPECT_FALSE(j.committed(1));
-  fs::remove_all(dir);
-}
-
-TEST(ResilJournal, DisabledJournalIsInertAndFileless) {
-  const fs::path dir = fresh_dir("disabled");
-  resil::Journal::Options options;
-  options.path = (dir / "never-created").string();
-  options.enabled = false;
-  resil::Journal j(std::move(options));
-  j.bind(1, 2, 3);
-  j.begin_run(3);
-  j.cell_begin(0, "x");
-  j.cell_commit(0);
-  EXPECT_FALSE(j.committed(0));
-  j.end_run({});
-  EXPECT_EQ(j.stats().appends, 0u);
-  EXPECT_FALSE(fs::exists(dir / "never-created"));
-  fs::remove_all(dir);
-}
-
-// ---------------------------------------------------------------------------
-// Engine resume semantics (fake in-memory journal: no disk in the loop).
-// ---------------------------------------------------------------------------
-
-/// Minimal SweepJournal: records calls, replays a preloaded committed set.
-/// Serial-use only (the tests below run without a pool).
-class MemJournal final : public exec::SweepJournal {
- public:
-  std::set<std::size_t> preloaded;
-  std::vector<std::size_t> begins;
-  std::vector<std::size_t> commits;
-  std::vector<std::size_t> fails;
-  int begin_runs = 0;
-  int end_runs = 0;
-  bool throw_on_begin_run = false;
-
-  void begin_run(std::size_t) override {
-    if (throw_on_begin_run) throw std::runtime_error("journal io error");
-    ++begin_runs;
-  }
-  [[nodiscard]] bool committed(std::size_t id) const override {
-    return preloaded.count(id) > 0;
-  }
-  void cell_begin(std::size_t id, const std::string&) override {
-    begins.push_back(id);
-  }
-  void cell_commit(std::size_t id) override { commits.push_back(id); }
-  void cell_fail(std::size_t id, const std::string&) override {
-    fails.push_back(id);
-  }
-  void end_run(const exec::RunReport&) override { ++end_runs; }
-};
-
-TEST(ResilResume, JournalIsProofAndCacheIsBytes) {
-  // Cells 0 and 1 are committed by "a previous run"; only cell 0 still has
-  // its bytes in the cache. 0 resumes, 1 honestly re-runs (a lost cache is
-  // a performance event, never a correctness event), 2 and 3 run fresh.
-  std::map<std::size_t, int> cache_bytes = {{0, 100}};
-  std::vector<int> slots(4, -1);
-  std::vector<int> runs(4, 0);
-
-  MemJournal journal;
-  journal.preloaded = {0, 1};
-
-  exec::Sweep sweep;
-  for (std::size_t i = 0; i < 4; ++i) {
-    exec::CacheHooks hooks;
-    hooks.probe = [&cache_bytes, &slots, i] {
-      const auto it = cache_bytes.find(i);
-      if (it == cache_bytes.end()) return false;
-      slots[i] = it->second;
-      return true;
-    };
-    hooks.publish = [&cache_bytes, &slots, i](const obs::Snapshot&) {
-      cache_bytes[i] = slots[i];
-    };
-    sweep.add_cached(
-        "cell" + std::to_string(i),
-        [&slots, &runs, i] {
-          ++runs[i];
-          slots[i] = static_cast<int>(100 + i);
-        },
-        std::move(hooks));
-  }
-
-  const exec::RunReport report = sweep.run_resumable(journal);
-  EXPECT_TRUE(report.ok());
-  EXPECT_EQ(report.completed, 4u);
-  EXPECT_EQ(report.cache_hits, 1u);
-  EXPECT_EQ(report.resumed, 1u) << "only the replay-validated hit counts";
-  EXPECT_EQ(runs, (std::vector<int>{0, 1, 1, 1}));
-  EXPECT_EQ(slots, (std::vector<int>{100, 101, 102, 103}));
-  // The replayed cell is already in the journal: no new begin or commit.
-  EXPECT_EQ(journal.begins, (std::vector<std::size_t>{1, 2, 3}));
-  EXPECT_EQ(journal.commits, (std::vector<std::size_t>{1, 2, 3}));
-  EXPECT_EQ(journal.begin_runs, 1);
-  EXPECT_EQ(journal.end_runs, 1);
-}
-
-TEST(ResilResume, ThrowingJournalDegradesToPlainExecution) {
-  MemJournal journal;
-  journal.throw_on_begin_run = true;
-  std::vector<int> runs(3, 0);
-  exec::Sweep sweep;
-  for (std::size_t i = 0; i < 3; ++i) {
-    sweep.add("cell" + std::to_string(i), [&runs, i] { ++runs[i]; });
-  }
-  const exec::RunReport report = sweep.run_resumable(journal);
-  EXPECT_TRUE(report.ok());
-  EXPECT_EQ(report.completed, 3u);
-  EXPECT_EQ(report.resumed, 0u);
-  EXPECT_EQ(runs, (std::vector<int>{1, 1, 1}));
-  EXPECT_TRUE(journal.commits.empty()) << "first throw silences the journal";
-}
-
-// ---------------------------------------------------------------------------
-// CellRunner + real Journal integration (in-process resume).
-// ---------------------------------------------------------------------------
-
-TEST(ResilResume, CellRunnerRowsResumeThroughRealJournal) {
-  const fs::path dir = fresh_dir("rows");
-  store::ResultCache::Options cache_options;
-  cache_options.disk_dir = (dir / "store").string();
-  const auto fingerprint_of = [](std::size_t i) {
-    store::Canon c;
-    c.field("cell", "resil.rows");
-    c.field("i", static_cast<std::uint64_t>(i));
-    return c.fingerprint();
-  };
-  std::atomic<int> runs{0};
-  const auto run = [&runs](std::size_t i) {
-    ++runs;
-    return std::vector<std::string>{std::to_string(i * 3)};
-  };
-
-  store::WorkloadStore workloads;
-  store::CellRunner::RowsResult cold;
-  {
-    store::ResultCache cache(cache_options);
-    resil::Journal journal(journal_at(dir / "journal"));
-    store::CellRunner runner(cache, workloads, nullptr);
-    runner.set_journal(&journal);
-    cold = runner.rows("resil.rows", 4, fingerprint_of, run);
-    ASSERT_TRUE(cold.ok());
-    EXPECT_EQ(runs.load(), 4);
-    EXPECT_EQ(cold.report.resumed, 0u);
-  }
-  // Fresh process-state equivalents: new cache (same disk dir), new
-  // journal object (same file). Every cell replays.
-  store::ResultCache cache(cache_options);
-  resil::Journal journal(journal_at(dir / "journal"));
-  store::CellRunner runner(cache, workloads, nullptr);
-  runner.set_journal(&journal);
-  const auto warm = runner.rows("resil.rows", 4, fingerprint_of, run);
-  ASSERT_TRUE(warm.ok());
-  EXPECT_EQ(runs.load(), 4) << "resumed cells must not re-run";
-  EXPECT_EQ(warm.report.resumed, 4u);
-  EXPECT_EQ(warm.report.cache_hits, 4u);
-  EXPECT_EQ(warm.rows, cold.rows);
-  EXPECT_TRUE(journal.stats().resumed);
-  fs::remove_all(dir);
-}
-
-// ---------------------------------------------------------------------------
-// Deadlines and the watchdog.
-// ---------------------------------------------------------------------------
-
-TEST(ResilDeadline, WatchdogCancelsOverdueCellAndIsolatesDependents) {
-  exec::Sweep sweep;
-  const auto slow = sweep.add("slow", [] {
-    // Cooperative cell: poll the token, bail once over budget. Bounded
-    // fallback so a watchdog bug cannot hang the test.
-    const auto give_up =
-        std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    for (;;) {
-      exec::CancelToken* token = exec::current_cancel();
-      if (token != nullptr && token->cancelled()) {
-        throw std::runtime_error("cell over budget");
-      }
-      if (std::chrono::steady_clock::now() > give_up) return;
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  });
-  bool dependent_ran = false;
-  sweep.add("dependent", [&dependent_ran] { dependent_ran = true; },
-            {slow});
-  bool independent_ran = false;
-  sweep.add("independent", [&independent_ran] { independent_ran = true; });
-
-  exec::RetryPolicy policy;
-  policy.max_attempts = 1;
-  policy.cell_deadline = std::chrono::milliseconds(50);
-  const exec::RunReport report = sweep.run_resilient(policy);
-
-  EXPECT_EQ(report.completed, 1u);
-  EXPECT_EQ(report.failed, 1u);
-  EXPECT_EQ(report.deadline_failed, 1u);
-  EXPECT_EQ(report.skipped, 1u);
-  EXPECT_FALSE(dependent_ran);
-  EXPECT_TRUE(independent_ran) << "unrelated cells must be untouched";
-  ASSERT_EQ(report.errors.size(), 2u);
-  EXPECT_EQ(report.errors[0].task, slow);
-  EXPECT_EQ(report.errors[0].kind, exec::CellError::kDeadline);
-  EXPECT_EQ(report.errors[1].kind, exec::CellError::kSkipped);
-  const std::string summary = report.summary();
-  EXPECT_NE(summary.find("over deadline"), std::string::npos) << summary;
-}
-
-TEST(ResilDeadline, ExpiredRunRefusesCellsNotYetStarted) {
-  exec::Sweep sweep;
-  std::atomic<int> late_runs{0};
-  sweep.add("hog", [] {
-    // Ignores cancellation entirely: success still wins, but the run
-    // budget expires while it sleeps.
-    std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  });
-  for (int i = 0; i < 3; ++i) {
-    sweep.add("late" + std::to_string(i), [&late_runs] { ++late_runs; });
-  }
-  exec::RetryPolicy policy;
-  policy.max_attempts = 1;
-  policy.run_deadline = std::chrono::milliseconds(50);
-  const exec::RunReport report = sweep.run_resilient(policy);
-
-  EXPECT_EQ(report.completed, 1u) << "a finished cell keeps its result";
-  EXPECT_EQ(report.failed, 3u);
-  EXPECT_EQ(report.deadline_failed, 3u);
-  EXPECT_EQ(late_runs.load(), 0);
-  ASSERT_EQ(report.errors.size(), 3u);
-  for (const exec::CellError& e : report.errors) {
-    EXPECT_EQ(e.kind, exec::CellError::kDeadline);
-    EXPECT_EQ(e.attempts, 0u);
-    EXPECT_NE(e.message.find("run budget"), std::string::npos) << e.message;
-  }
-}
-
-TEST(ResilDeadline, RetryBackoffIsCutByTheCellDeadline) {
-  exec::Sweep sweep;
-  std::atomic<int> attempts_seen{0};
-  sweep.add("flaky", [&attempts_seen] {
-    ++attempts_seen;
-    throw exec::TransientError("flaky");
-  });
-  exec::RetryPolicy policy;
-  policy.max_attempts = 1000;  // Attempt budget alone would retry forever.
-  policy.backoff_base = std::chrono::microseconds(20000);
-  policy.backoff_cap = std::chrono::microseconds(20000);
-  policy.cell_deadline = std::chrono::milliseconds(80);
-
-  const auto start = std::chrono::steady_clock::now();
-  const exec::RunReport report = sweep.run_resilient(policy);
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-
-  EXPECT_EQ(report.failed, 1u);
-  ASSERT_EQ(report.errors.size(), 1u);
-  // ~80ms budget over ~20ms backoffs: a handful of attempts, not 1000.
-  EXPECT_LE(report.errors[0].attempts, 50u);
-  EXPECT_LT(attempts_seen.load(), 50);
-  EXPECT_LT(elapsed, std::chrono::seconds(5))
-      << "the retry schedule must be wall-clock bounded";
-  EXPECT_NE(report.errors[0].message.find("flaky"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
-// Admission gate (load shedding).
-// ---------------------------------------------------------------------------
-
-TEST(ResilAdmission, ShedsLowestPriorityFirstAndSkipsDependents) {
-  exec::Sweep sweep;
-  std::vector<int> runs(6, 0);
-  for (std::size_t i = 0; i < 6; ++i) {
-    const auto id =
-        sweep.add("cell" + std::to_string(i), [&runs, i] { ++runs[i]; });
-    sweep.set_priority(id, static_cast<std::int32_t>(i));
-  }
-  bool dependent_ran = false;
-  sweep.add("dependent", [&dependent_ran] { dependent_ran = true; }, {0});
-
-  exec::AdmissionPolicy admission;
-  admission.max_pending = 2;
-  sweep.set_admission(admission);
-  const exec::RunReport report = sweep.run_resilient();
-
-  EXPECT_EQ(report.completed, 2u);
-  EXPECT_EQ(report.shed, 4u);
-  EXPECT_EQ(report.failed, 4u) << "shed cells are failures, not skips";
-  EXPECT_EQ(report.skipped, 1u);
-  EXPECT_FALSE(dependent_ran);
-  // Highest priorities survive the gate.
-  EXPECT_EQ(runs, (std::vector<int>{0, 0, 0, 0, 1, 1}));
-  std::size_t shed_errors = 0;
-  for (const exec::CellError& e : report.errors) {
-    if (e.kind == exec::CellError::kShedded) {
-      ++shed_errors;
-      EXPECT_NE(e.message.find("admission budget"), std::string::npos);
-      EXPECT_EQ(e.attempts, 0u);
-    }
-  }
-  EXPECT_EQ(shed_errors, 4u);
-  EXPECT_NE(report.summary().find("shed"), std::string::npos);
-}
-
-TEST(ResilAdmission, MemoryBudgetShedsCellsNotYetStarted) {
-  exec::Sweep sweep;
-  std::atomic<int> ran{0};
-  for (std::size_t i = 0; i < 4; ++i) {
-    sweep.add("alloc" + std::to_string(i), [&sweep, &ran] {
-      ++ran;
-      (void)sweep.local_arena().allocate(256 * 1024, 8);
-    });
-  }
-  exec::AdmissionPolicy admission;
-  admission.memory_budget_bytes = 64 * 1024;
-  sweep.set_admission(admission);
-  const exec::RunReport report = sweep.run_resilient();
-
-  // Serial: the first cell blows the budget; everything not yet started
-  // sheds instead of allocating further.
-  EXPECT_EQ(report.completed, 1u);
-  EXPECT_EQ(report.shed, 3u);
-  EXPECT_EQ(ran.load(), 1);
-}
-
-TEST(ResilAdmission, InertByDefault) {
-  exec::Sweep sweep;
-  std::vector<int> runs(4, 0);
-  for (std::size_t i = 0; i < 4; ++i) {
-    sweep.add("cell" + std::to_string(i), [&runs, i] { ++runs[i]; });
-  }
-  const exec::RunReport report = sweep.run_resilient();
-  EXPECT_TRUE(report.ok());
-  EXPECT_EQ(report.completed, 4u);
-  EXPECT_EQ(report.shed, 0u);
-  EXPECT_EQ(report.resumed, 0u);
-  EXPECT_EQ(report.deadline_failed, 0u);
-  // Plain runs keep the pre-resil summary text exactly.
-  EXPECT_EQ(report.summary().find("resumed"), std::string::npos);
-  EXPECT_EQ(report.summary().find("shed"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -698,20 +242,6 @@ TEST(ResilEnv, KnownFaultProfilesStillResolve) {
   }
   EnvGuard guard("IMPACT_FAULTS", "off");
   EXPECT_FALSE(fault::Injector::profile_from_env().has_value());
-}
-
-TEST(ResilEnv, JournalFromEnvHonoursPathAndAbsence) {
-  {
-    EnvGuard guard("IMPACT_JOURNAL", nullptr);
-    EXPECT_EQ(resil::journal_from_env(), nullptr);
-  }
-  const fs::path dir = fresh_dir("env");
-  const std::string path = (dir / "j").string();
-  EnvGuard guard("IMPACT_JOURNAL", path.c_str());
-  const std::unique_ptr<resil::Journal> journal = resil::journal_from_env();
-  ASSERT_NE(journal, nullptr);
-  EXPECT_EQ(journal->path(), path);
-  fs::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------

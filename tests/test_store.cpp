@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/scope.hpp"
 #include "store/cell_runner.hpp"
 #include "util/histogram.hpp"
 
@@ -129,11 +128,7 @@ TEST(Canon, GoldenFingerprintPinsCanonicalization) {
   const auto fp = store::matrix_cell_fingerprint(
       graph::MultiprogConfig{}, graph::WorkloadKind::kBFS,
       dram::RowPolicy::kOpenRow);
-  if (obs::kCompiled) {
-    EXPECT_EQ(fp.hex(), "b1e2ac3b4c39e9041b49caa9e2d493c1");
-  } else {
-    EXPECT_EQ(fp.hex(), "a7101959bef692fca84e969c6c33143d");
-  }
+  EXPECT_EQ(fp.hex(), "b1e2ac3b4c39e9041b49caa9e2d493c1");
 }
 
 TEST(CanonOf, EveryInputChangeChangesTheFingerprint) {

@@ -65,7 +65,7 @@ const std::map<std::string, int>& layer_ranks() {
       {"util", 0},  {"model", 1},   {"dram", 2},     {"cache", 3},
       {"sys", 3},   {"pim", 4},     {"channel", 5},  {"attacks", 6},
       {"defense", 6}, {"genomics", 6}, {"graph", 7},  {"exec", 8},
-      {"store", 9},  {"resil", 10},  {"lab", 11},
+      {"store", 9},  {"lab", 11},
   };
   return kRanks;
 }
