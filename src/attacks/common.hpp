@@ -41,7 +41,7 @@ struct RowChannelConfig {
   /// the same bank-parallelism from a single masked RowClone that a PnM
   /// sender needs this many threads (and PEIs) to approximate — the §4.2
   /// "less computational resources" contrast, measurable in
-  /// bench_ablation_sweep.
+  /// `impact run ablation_sweep`.
   std::uint32_t sender_threads = 1;
   /// Receiver threads: batch probes distributed the same way (each thread
   /// owns its own timer; decode happens after the join). The receiver is

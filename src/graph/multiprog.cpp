@@ -1,8 +1,6 @@
 #include "graph/multiprog.hpp"
 
 #include <algorithm>
-#include <memory>
-#include <stdexcept>
 
 #include "obs/registry.hpp"
 #include "obs/scope.hpp"
@@ -162,74 +160,6 @@ RunStats run_multiprogrammed(const MultiprogConfig& config,
 RunStats run_multiprogrammed(const MultiprogConfig& config,
                              WorkloadKind kind, dram::RowPolicy policy) {
   return run_multiprogrammed(config, build_input(config, kind), policy);
-}
-
-DefenseOverheads evaluate_defenses(const MultiprogConfig& config,
-                                   WorkloadKind kind,
-                                   exec::ThreadPool* pool) {
-  const WorkloadInput input = build_input(config, kind);
-  DefenseOverheads out;
-  out.kind = kind;
-
-  constexpr dram::RowPolicy kPolicies[] = {dram::RowPolicy::kOpenRow,
-                                           dram::RowPolicy::kClosedRow,
-                                           dram::RowPolicy::kConstantTime};
-  RunStats DefenseOverheads::* const kSlots[] = {
-      &DefenseOverheads::open_row, &DefenseOverheads::closed_row,
-      &DefenseOverheads::constant_time};
-  const std::vector<RunStats> cells = exec::parallel_map<RunStats>(
-      pool, 3, [&](std::size_t i) {
-        return run_multiprogrammed(config, input, kPolicies[i]);
-      });
-  for (std::size_t i = 0; i < 3; ++i) out.*kSlots[i] = cells[i];
-  return out;
-}
-
-std::vector<DefenseOverheads> evaluate_defense_matrix(
-    const MultiprogConfig& config, std::span<const WorkloadKind> kinds,
-    exec::ThreadPool* pool) {
-  std::vector<DefenseOverheads> out(kinds.size());
-  // Inputs live on the building worker's sweep arena rather than being
-  // default-constructed up front and assigned across threads: each input is
-  // created whole by its build task, dependents read it through the sweep's
-  // build->run edges (which give the necessary happens-before), and the
-  // Sweep destructor reclaims the storage after run() returns.
-  std::vector<WorkloadInput*> inputs(kinds.size(), nullptr);
-
-  constexpr dram::RowPolicy kPolicies[] = {dram::RowPolicy::kOpenRow,
-                                           dram::RowPolicy::kClosedRow,
-                                           dram::RowPolicy::kConstantTime};
-  RunStats DefenseOverheads::* const kSlots[] = {
-      &DefenseOverheads::open_row, &DefenseOverheads::closed_row,
-      &DefenseOverheads::constant_time};
-
-  // Task graph: each workload's input build feeds its three policy cells,
-  // so cheap cells of one workload overlap the build of the next.
-  exec::Sweep sweep(pool);
-  for (std::size_t w = 0; w < kinds.size(); ++w) {
-    out[w].kind = kinds[w];
-    const exec::Sweep::TaskId build = sweep.add(
-        "input:" + std::string(to_string(kinds[w])),
-        // Sweep::run() returns before the enclosing scope unwinds, so
-        // reference captures of the local grids are safe.
-        [&, w] {
-          inputs[w] =
-              sweep.local_arena().make<WorkloadInput>(build_input(config,
-                                                                  kinds[w]));
-        });
-    for (std::size_t p = 0; p < 3; ++p) {
-      sweep.add("run:" + std::string(to_string(kinds[w])) + ":" +
-                    to_string(kPolicies[p]),
-                [&, w, p] {
-                  out[w].*kSlots[p] =
-                      run_multiprogrammed(config, *inputs[w], kPolicies[p]);
-                },
-                {build});
-    }
-  }
-  const exec::RunReport report = sweep.run();
-  if (!report.ok()) throw std::runtime_error(report.errors.front().message);
-  return out;
 }
 
 }  // namespace impact::graph

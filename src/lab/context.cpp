@@ -60,20 +60,6 @@ std::uint64_t Context::u64(std::string_view name) const {
   }
 }
 
-double Context::f64(std::string_view name) const {
-  const std::string value = str(name);
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(value, &used);
-    if (used != value.size()) bad_value(spec_, name, value, "a number");
-    return v;
-  } catch (const std::invalid_argument&) {
-    bad_value(spec_, name, value, "a number");
-  } catch (const std::out_of_range&) {
-    bad_value(spec_, name, value, "a number in range");
-  }
-}
-
 exec::ThreadPool& Context::pool() {
   if (!pool_) {
     pool_ = args_.threads > 0 ? std::make_unique<exec::ThreadPool>(args_.threads)

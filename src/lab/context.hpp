@@ -48,7 +48,6 @@ class Context {
   [[nodiscard]] std::string str(std::string_view name) const;
   [[nodiscard]] std::uint32_t u32(std::string_view name) const;
   [[nodiscard]] std::uint64_t u64(std::string_view name) const;
-  [[nodiscard]] double f64(std::string_view name) const;
 
   /// Shared worker pool, created on first use. --threads N overrides the
   /// IMPACT_THREADS/-hardware default.

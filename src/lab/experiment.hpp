@@ -26,7 +26,7 @@ enum class Kind {
   kTable,      ///< reproduces a numbered paper table
   kAblation,   ///< sensitivity study beyond the paper's figures
   kExtension,  ///< post-paper extension experiment
-  kExample,    ///< narrative walkthrough (former examples/ binary)
+  kExample,    ///< narrative walkthrough
   kPerf,       ///< harness performance benchmark, not a paper artifact
 };
 
@@ -46,9 +46,6 @@ struct ParamSpec {
 struct ExperimentSpec {
   /// Registry key, e.g. "fig11" or "quickstart".
   std::string name;
-  /// The pre-refactor binary this spec replaces, e.g. "bench_fig11".
-  /// Kept so `impact list` and EXPERIMENTS.md can map old names.
-  std::string binary;
   /// One-line summary shown by `impact list`.
   std::string description;
   Kind kind = Kind::kFigure;
@@ -71,7 +68,7 @@ struct ExperimentSpec {
   std::function<std::size_t(const Context&)> cell_count;
   /// The experiment body. Receives the fully wired Context (pool,
   /// cache, parameter resolution) and returns a process exit
-  /// code. Must write the same bytes to stdout the old binary wrote.
+  /// code. Its stdout must stay byte-identical across refactors.
   std::function<int(Context&)> run;
 };
 

@@ -1,6 +1,6 @@
-// The built-in experiment catalogue: one register function per former
-// driver binary (20 bench_* + 6 examples/*), each installing its spec
-// into a lab::Registry. register_builtin() (registry.hpp) calls all of
+// The built-in experiment catalogue: one register function per
+// experiment (20 figure/table/ablation/perf specs + 6 walkthrough
+// examples), each installing its spec into a lab::Registry. register_builtin() (registry.hpp) calls all of
 // them. The pure renderers the golden byte-identity tests pin are also
 // declared here — they take already-computed grid results, so a test can
 // feed a synthetic grid and compare bytes without simulating.

@@ -75,7 +75,6 @@ int run_defense_tradeoffs(Context& ctx) {
 void register_defense_tradeoffs(Registry& r) {
   ExperimentSpec spec;
   spec.name = "defense_tradeoffs";
-  spec.binary = "defense_tradeoffs";
   spec.description =
       "Fig. 11 methodology demo: CRP/CTD overhead vs open-row on the "
       "graph workloads";

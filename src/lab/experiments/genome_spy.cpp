@@ -21,12 +21,14 @@ int run_genome_spy(Context& ctx) {
   config.banks = ctx.u32("banks");
   config.reads = 32;
 
+  // The constructor validates the bank count, so build the spy before
+  // the header divides by it.
+  attacks::ReadMappingSpy spy(config);
   std::printf("PiM device: %u banks, shared seed table: %u buckets "
               "(%u entries per bank)\n",
               config.banks, config.table.buckets,
               config.table.buckets / config.banks);
 
-  attacks::ReadMappingSpy spy(config);
   const auto result = spy.run();
 
   std::printf("victim mapping accuracy : %.1f%%\n",
@@ -53,7 +55,6 @@ int run_genome_spy(Context& ctx) {
 void register_genome_spy(Registry& r) {
   ExperimentSpec spec;
   spec.name = "genome_spy";
-  spec.binary = "genome_spy";
   spec.description =
       "Read-mapping side channel (Fig. 10 setting): bank-sweep probes "
       "against a genomics victim";

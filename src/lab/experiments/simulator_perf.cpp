@@ -279,7 +279,6 @@ int run_simulator_perf(Context& ctx) {
 void register_simulator_perf(Registry& r) {
   ExperimentSpec spec;
   spec.name = "simulator_perf";
-  spec.binary = "bench_simulator_perf";
   spec.description =
       "Google-benchmark microbenchmarks of the simulation substrate "
       "(DRAM, caches, PEI, channels)";

@@ -8,15 +8,24 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 namespace impact::store {
 
 namespace {
 
+/// A boolean env knob: exactly "0" or "1"; unset or empty keeps
+/// `fallback`. Any other value is an operator typo — warn and keep the
+/// default rather than guess ("false" must not mean true).
 bool env_flag(const char* name, bool fallback) {
   const char* value = std::getenv(name);
   if (value == nullptr || *value == '\0') return fallback;
-  return !(value[0] == '0' && value[1] == '\0');
+  const std::string_view text(value);
+  if (text == "0") return false;
+  if (text == "1") return true;
+  std::fprintf(stderr, "store: %s='%s' ignored (expected 0 or 1); using %d\n",
+               name, value, fallback ? 1 : 0);
+  return fallback;
 }
 
 }  // namespace

@@ -25,7 +25,8 @@
 //     is the resume mechanism: a re-run after a crash finds every cell
 //     the interrupted run published and re-simulates only the rest.
 //
-// Environment:
+// Environment (the two flags accept exactly 0 or 1; any other value is
+// ignored with a warning on stderr):
 //   IMPACT_STORE=0        disable the cache entirely (every probe misses,
 //                         nothing is stored).
 //   IMPACT_STORE_DIR=path enable the on-disk backend rooted at `path`

@@ -21,6 +21,7 @@
 #include "exec/thread_pool.hpp"
 #include "graph/multiprog.hpp"
 #include "obs/scope.hpp"
+#include "store/cell_runner.hpp"
 
 namespace impact {
 namespace {
@@ -313,27 +314,39 @@ graph::MultiprogConfig tiny_config() {
   return config;
 }
 
-TEST(Determinism, EvaluateDefensesMatchesAcrossPoolSizes) {
-  const auto config = tiny_config();
-  const auto kind = graph::WorkloadKind::kBFS;
-  const auto serial = graph::evaluate_defenses(config, kind, nullptr);
-  for (unsigned threads : {1u, 2u, 8u}) {
-    exec::ThreadPool pool(threads);
-    const auto parallel = graph::evaluate_defenses(config, kind, &pool);
-    EXPECT_EQ(serial, parallel) << threads << " thread(s)";
-  }
+/// One cold Fig. 11 grid through the CellRunner: fresh input store and a
+/// disabled cache, so every input builds and every cell simulates.
+store::CellRunner::MatrixResult cold_grid(exec::ThreadPool* pool) {
+  constexpr dram::RowPolicy kPolicies[] = {dram::RowPolicy::kOpenRow,
+                                           dram::RowPolicy::kClosedRow,
+                                           dram::RowPolicy::kConstantTime};
+  store::ResultCache::Options disabled;
+  disabled.enabled = false;
+  store::ResultCache cache(disabled);
+  store::WorkloadStore workloads;
+  store::CellRunner runner(cache, workloads, pool);
+  return runner.defense_matrix(tiny_config(), graph::kAllWorkloads,
+                               kPolicies);
 }
 
 TEST(Determinism, DefenseMatrixMatchesAcrossPoolSizes) {
-  const auto config = tiny_config();
-  const auto serial =
-      graph::evaluate_defense_matrix(config, graph::kAllWorkloads, nullptr);
-  ASSERT_EQ(serial.size(), std::size(graph::kAllWorkloads));
+  const auto serial = cold_grid(nullptr);
+  ASSERT_TRUE(serial.ok());
+  ASSERT_EQ(serial.cells.size(), std::size(graph::kAllWorkloads));
   for (unsigned threads : {1u, 2u, 8u}) {
     exec::ThreadPool pool(threads);
-    const auto parallel =
-        graph::evaluate_defense_matrix(config, graph::kAllWorkloads, &pool);
-    EXPECT_EQ(serial, parallel) << threads << " thread(s)";
+    const auto parallel = cold_grid(&pool);
+    ASSERT_TRUE(parallel.ok()) << threads << " thread(s)";
+    EXPECT_EQ(parallel.report.cache_hits, 0u) << threads << " thread(s)";
+    for (std::size_t w = 0; w < serial.cells.size(); ++w) {
+      for (std::size_t p = 0; p < serial.cells[w].size(); ++p) {
+        EXPECT_EQ(parallel.cells[w][p].stats, serial.cells[w][p].stats)
+            << threads << " thread(s), cell " << w << "," << p;
+        EXPECT_EQ(parallel.cells[w][p].snapshot.counters,
+                  serial.cells[w][p].snapshot.counters)
+            << threads << " thread(s), cell " << w << "," << p;
+      }
+    }
   }
 }
 

@@ -7,8 +7,9 @@
 
 #include "attacks/registry.hpp"
 #include "dram/config.hpp"
-#include "exec/sweep.hpp"
+#include "exec/thread_pool.hpp"
 #include "graph/multiprog.hpp"
+#include "store/cell_runner.hpp"
 
 namespace impact {
 namespace {
@@ -52,37 +53,63 @@ TEST(Headline, DramaClflushDeclineAndRatio) {
   EXPECT_GT(pnm / large, 3.5);
 }
 
-TEST(Headline, DefenseOverheadsViaSweepEngine) {
+TEST(Headline, DefenseOverheadViaCellRunner) {
   // Fig. 11 trend at reduced scale (8x smaller input keeps this test in
   // CI-friendly time): CTD costs more than CRP on every workload, with
   // both averages pinned at the recorded values for this configuration
-  // (full scale records CRP 13.6% / CTD 26.1%; see bench_fig11).
-  // Run through the sweep engine — the same path the benches use.
+  // (full scale records CRP 13.6% / CTD 26.1%; see `impact run fig11`).
+  // Run through store::CellRunner — the same grid driver fig11 uses —
+  // with the cache disabled so every cell simulates.
   graph::MultiprogConfig config;
   config.rmat_scale = 12;
   config.edge_count = 32768;
   // Shrink the hierarchy with the input to stay conflict-bound (the
   // regime where the defenses cost anything).
   config.system.cache_scale = 512;
+  constexpr dram::RowPolicy kPolicies[] = {dram::RowPolicy::kOpenRow,
+                                           dram::RowPolicy::kClosedRow,
+                                           dram::RowPolicy::kConstantTime};
   exec::ThreadPool pool;
-  const auto matrix =
-      graph::evaluate_defense_matrix(config, graph::kAllWorkloads, &pool);
-  ASSERT_EQ(matrix.size(), std::size(graph::kAllWorkloads));
+  store::ResultCache::Options disabled;
+  disabled.enabled = false;
+  store::ResultCache cache(disabled);
+  store::WorkloadStore workloads;
+  store::CellRunner runner(cache, workloads, &pool);
+  const auto grid =
+      runner.defense_matrix(config, graph::kAllWorkloads, kPolicies);
+  ASSERT_TRUE(grid.ok());
+  ASSERT_EQ(grid.cells.size(), std::size(graph::kAllWorkloads));
+  const auto overhead = [](const graph::RunStats& defended,
+                           const graph::RunStats& open_row) {
+    return static_cast<double>(defended.cycles) /
+               static_cast<double>(open_row.cycles) -
+           1.0;
+  };
+  const double n = static_cast<double>(grid.cells.size());
   double crp_avg = 0.0;
   double ctd_avg = 0.0;
-  for (const auto& r : matrix) {
-    EXPECT_GT(r.open_row.cycles, 0u) << to_string(r.kind);
-    EXPECT_GE(r.ctd_overhead(), r.crp_overhead()) << to_string(r.kind);
-    crp_avg += r.crp_overhead() / matrix.size();
-    ctd_avg += r.ctd_overhead() / matrix.size();
+  for (std::size_t w = 0; w < grid.cells.size(); ++w) {
+    const auto kind = to_string(graph::kAllWorkloads[w]);
+    const graph::RunStats& open_row = grid.cells[w][0].stats;
+    ASSERT_GT(open_row.cycles, 0u) << kind;
+    const double crp = overhead(grid.cells[w][1].stats, open_row);
+    const double ctd = overhead(grid.cells[w][2].stats, open_row);
+    EXPECT_GE(ctd, crp) << kind;
+    crp_avg += crp / n;
+    ctd_avg += ctd / n;
   }
   EXPECT_NEAR(crp_avg, 0.0725, 0.02);
   EXPECT_NEAR(ctd_avg, 0.1253, 0.02);
 
-  // The engine's matrix must agree bit-for-bit with the single-workload
-  // entry point (same seeds, fresh system per cell).
-  const auto direct = graph::evaluate_defenses(config, matrix[1].kind);
-  EXPECT_EQ(direct, matrix[1]);
+  // Independent oracle: each cell of one workload agrees bit-for-bit with
+  // a direct run that bypasses the runner, the sweep and the input store
+  // (same seeds, fresh system per cell).
+  for (std::size_t p = 0; p < std::size(kPolicies); ++p) {
+    EXPECT_EQ(grid.cells[1][p].stats,
+              graph::run_multiprogrammed(config, graph::kAllWorkloads[1],
+                                         kPolicies[p]))
+        << to_string(kPolicies[p]);
+  }
 }
 
 TEST(Headline, ImpactIsLlcSizeInvariant) {

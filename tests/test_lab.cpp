@@ -38,7 +38,6 @@ const Registry& builtin() {
 ExperimentSpec toy_spec() {
   ExperimentSpec spec;
   spec.name = "toy";
-  spec.binary = "bench_toy";
   spec.description = "argv fixture";
   spec.params = {{"banks", "bank count", "1024"}};
   spec.positional = {"banks"};
@@ -47,7 +46,7 @@ ExperimentSpec toy_spec() {
 }
 
 TEST(LabRegistry, BuiltinCatalogueIsCompleteAndSorted) {
-  // 20 bench_* + 6 examples/* former binaries.
+  // 20 figure/table/ablation/perf specs + 6 walkthrough examples.
   EXPECT_EQ(builtin().size(), 26u);
   const auto all = builtin().all();
   ASSERT_EQ(all.size(), 26u);
@@ -55,16 +54,14 @@ TEST(LabRegistry, BuiltinCatalogueIsCompleteAndSorted) {
     EXPECT_LT(all[i - 1]->name, all[i]->name);
   }
   for (const auto* spec : all) {
-    EXPECT_FALSE(spec->binary.empty()) << spec->name;
     EXPECT_FALSE(spec->description.empty()) << spec->name;
     EXPECT_TRUE(spec->run) << spec->name;
   }
 }
 
-TEST(LabRegistry, FindResolvesNamesAndBinariesMapBack) {
+TEST(LabRegistry, FindResolvesNames) {
   const ExperimentSpec* fig11 = builtin().find("fig11");
   ASSERT_NE(fig11, nullptr);
-  EXPECT_EQ(fig11->binary, "bench_fig11");
   EXPECT_EQ(fig11->kind, Kind::kFigure);
   const ExperimentSpec* quickstart = builtin().find("quickstart");
   ASSERT_NE(quickstart, nullptr);
@@ -118,6 +115,12 @@ TEST(LabArgs, UnknownFlagAndSurplusPositionalRejected) {
   error.clear();
   EXPECT_FALSE(parse_args(spec, 3, undeclared, args, error));
   EXPECT_FALSE(error.empty());
+
+  // `impact list --json` has its own parser; `impact run` takes no --json.
+  const char* json[] = {"toy", "--json"};
+  error.clear();
+  EXPECT_FALSE(parse_args(spec, 2, json, args, error));
+  EXPECT_NE(error.find("unknown flag '--json'"), std::string::npos) << error;
 }
 
 TEST(LabContext, ParamOverrideRoundTrip) {
@@ -166,6 +169,17 @@ TEST(LabContext, UndeclaredAndUnparsableParamsThrow) {
     }
     EXPECT_THROW((void)bad.u32("banks"), std::invalid_argument) << value;
   }
+}
+
+TEST(LabSpecs, GenomeSpyRejectsTooFewBanksBeforeDividing) {
+  // The header divides the seed table by the bank count; banks=0 must
+  // surface the spy's own check (a clean driver error), not a SIGFPE.
+  const ExperimentSpec* spec = builtin().find("genome_spy");
+  ASSERT_NE(spec, nullptr);
+  Args args;
+  args.params["banks"] = "0";
+  Context ctx(*spec, std::move(args));
+  EXPECT_THROW((void)spec->run(ctx), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -286,6 +287,33 @@ TEST(ResultCache, DisabledCacheNeverHitsNorStores) {
   EXPECT_EQ(cache.stats().stored, 0u);
 }
 
+TEST(ResultCache, EnvFlagsAcceptOnlyZeroAndOne) {
+  // Exactly "0"/"1" set a flag; empty means unset; anything else warns
+  // and keeps the default (IMPACT_STORE on, IMPACT_STORE_VERIFY off).
+  ::unsetenv("IMPACT_STORE_DIR");
+  const struct {
+    const char* value;
+    bool enabled;
+    bool verify;
+  } kCases[] = {
+      {"0", false, false}, {"1", true, true},   {"", true, false},
+      {"false", true, false}, {"off", true, false}, {"yes", true, false},
+      {"00", true, false},
+  };
+  for (const auto& c : kCases) {
+    ::setenv("IMPACT_STORE", c.value, 1);
+    ::setenv("IMPACT_STORE_VERIFY", c.value, 1);
+    const auto options = store::ResultCache::options_from_env();
+    EXPECT_EQ(options.enabled, c.enabled) << "'" << c.value << "'";
+    EXPECT_EQ(options.verify, c.verify) << "'" << c.value << "'";
+  }
+  ::unsetenv("IMPACT_STORE");
+  ::unsetenv("IMPACT_STORE_VERIFY");
+  const auto unset = store::ResultCache::options_from_env();
+  EXPECT_TRUE(unset.enabled);
+  EXPECT_FALSE(unset.verify);
+}
+
 class ScratchDir : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -421,6 +449,40 @@ TEST(CellRunner, WarmDefenseMatrixIsBitIdenticalSerialAndParallel) {
                    "warm pool(4)");
   // A fully warm grid builds no inputs beyond the cold run's two.
   EXPECT_EQ(workloads.size(), 2u);
+}
+
+TEST(CellRunner, DefenseTradeoffsGridIsASubsetOfFig11) {
+  // defense_tradeoffs' 3-policy grid shares matrix_cell_fingerprints with
+  // 15 of fig11's 20 cells, so on a shared store it is pure lookups.
+  constexpr dram::RowPolicy kFig11[] = {
+      dram::RowPolicy::kOpenRow, dram::RowPolicy::kClosedRow,
+      dram::RowPolicy::kConstantTime, dram::RowPolicy::kAdaptive};
+  constexpr dram::RowPolicy kTradeoffs[] = {dram::RowPolicy::kOpenRow,
+                                            dram::RowPolicy::kClosedRow,
+                                            dram::RowPolicy::kConstantTime};
+  const graph::MultiprogConfig config = tiny_config();
+  store::ResultCache cache;
+  store::WorkloadStore workloads;
+  store::CellRunner runner(cache, workloads, nullptr);
+
+  const auto fig11 = runner.defense_matrix(config, graph::kAllWorkloads, kFig11);
+  ASSERT_TRUE(fig11.ok());
+  const auto before = cache.stats();
+  const auto tradeoffs =
+      runner.defense_matrix(config, graph::kAllWorkloads, kTradeoffs);
+  ASSERT_TRUE(tradeoffs.ok());
+  const auto after = cache.stats();
+  EXPECT_EQ(after.hits - before.hits, 15u);
+  EXPECT_EQ(after.misses - before.misses, 0u);
+  EXPECT_EQ(after.stored - before.stored, 0u);
+  EXPECT_EQ(tradeoffs.report.cache_stored, 0u);
+  for (std::size_t w = 0; w < std::size(graph::kAllWorkloads); ++w) {
+    for (std::size_t p = 0; p < std::size(kTradeoffs); ++p) {
+      EXPECT_TRUE(tradeoffs.cells[w][p].cached) << w << "," << p;
+      EXPECT_EQ(tradeoffs.cells[w][p].stats, fig11.cells[w][p].stats)
+          << w << "," << p;
+    }
+  }
 }
 
 TEST(CellRunner, RowsReplayFromCacheWithoutRunningCells) {

@@ -3,9 +3,9 @@
 #
 #   0. simlint (tools/simlint): layering, determinism, concurrency, seam,
 #      and hot-path invariants over src/ against the committed baseline,
-#      plus the determinism + driver-include rules over bench/, examples/,
-#      and apps/ (driver TUs must be thin shims over src/lab/) — the
-#      cheapest stage, so it runs first (docs/static-analysis.md),
+#      plus the determinism + driver-include rules over apps/ (the
+#      `impact` front end must stay thin over src/lab/) — the cheapest
+#      stage, so it runs first (docs/static-analysis.md),
 #   1. clang-tidy over src/ (.clang-tidy profile, warnings-as-errors),
 #   2. an ASan+UBSan build with -Werror of every target,
 #   3. the full ctest suite under the sanitizers with IMPACT_CHECK=1,
@@ -14,20 +14,18 @@
 #      recover; everything else must be unaffected (injection is opt-in),
 #   4. a ThreadSanitizer build + the exec-engine tests under it (TSan and
 #      ASan cannot share a binary, so this is a separate build tree),
-#   5. obs spine: quickstart --trace JSON validation (dram/pim/channel
-#      spans present, events well-formed),
-#   6. experiment store: a cold->warm->warm cycle of bench_fig11 through
-#      an on-disk store::ResultCache — warm output must be byte-identical
-#      with a 100% hit rate, and an IMPACT_STORE_VERIFY=1 re-simulation
-#      audit must pass (docs/performance.md, "Experiment cache"),
-#   6b. crash/resume: bench_fig11 is SIGKILLed mid-grid with an on-disk
-#      store (IMPACT_STORE_DIR), then re-invoked over the same store; the
-#      resumed run must be byte-identical to an uninterrupted reference
+#   5. obs spine: `impact run quickstart --trace` JSON validation
+#      (dram/pim/channel spans present, events well-formed),
+#   6. experiment store: a cold->warm->warm cycle of `impact run fig11`
+#      through an on-disk store::ResultCache — warm output must be
+#      byte-identical with a 100% hit rate, and an IMPACT_STORE_VERIFY=1
+#      re-simulation audit must pass (docs/performance.md, "Experiment cache"),
+#   6b. crash/resume: `impact run fig11` is SIGKILLed mid-grid with an
+#      on-disk store (IMPACT_STORE_DIR), then re-invoked over the same
+#      store; the resumed run must be byte-identical to an uninterrupted reference
 #      (docs/robustness.md, "Resume"),
-#   6c. experiment registry: `impact list` must enumerate a non-empty
-#      registry, `impact describe` must resolve a spec, and `impact run`
-#      must be byte-identical to the corresponding thin-shim binaries
-#      (docs/experiments-registry.md),
+#   6c. experiment registry: `impact list` must enumerate all 26 specs
+#      and `impact describe` must resolve one (docs/experiments-registry.md),
 #   7. tools/bench.sh --smoke: fails on >20% items/sec regression against
 #      the committed BENCH_simulator.json baseline.
 #
@@ -72,7 +70,7 @@ if [ $rc -eq 0 ]; then
       --root "${ROOT}/src" \
       --baseline "${ROOT}/tools/simlint/baseline.txt" \
   && "${TIDY_DIR}/tools/simlint/simlint" \
-      --root "${ROOT}/bench" --root "${ROOT}/examples" --root "${ROOT}/apps" \
+      --root "${ROOT}/apps" \
       --rules "nondet-seed,nondet-random-device,nondet-rand,global-state,thread-local,driver-include"
   rc=$?
 fi
@@ -160,13 +158,14 @@ else
 fi
 
 # --- Stage 5: obs spine (trace validation) ------------------------------
-# In the sanitizer build, quickstart --trace must export Chrome trace JSON
-# that parses and carries spans from the dram, pim, and channel layers —
-# the end-to-end acceptance of the spine.
+# In the sanitizer build, `impact run quickstart --trace` must export
+# Chrome trace JSON that parses and carries spans from the dram, pim, and
+# channel layers — the end-to-end acceptance of the spine.
 if [ "${STATUS[sanitizer-build]}" = "PASS" ]; then
   OBS_TMP="$(mktemp -d)"
   TRACE_JSON="${OBS_TMP}/quickstart_trace.json"
-  "${BUILD_DIR}/examples/quickstart" --trace "${TRACE_JSON}" > /dev/null \
+  "${BUILD_DIR}/apps/impact" run quickstart --trace "${TRACE_JSON}" \
+      > /dev/null \
     && TRACE_JSON="${TRACE_JSON}" python3 - <<'EOF'
 import json
 import os
@@ -198,7 +197,7 @@ else
 fi
 
 # --- Stage 6: experiment store (content-addressed cache) ----------------
-# End-to-end acceptance of src/store/ against a real driver: bench_fig11
+# End-to-end acceptance of src/store/ against a real experiment: fig11
 # runs cold into a fresh on-disk cache, then warm from it. The warm run
 # must produce byte-identical stdout, miss nothing, and survive the
 # IMPACT_STORE_VERIFY=1 re-simulation audit (which aborts on divergence).
@@ -208,12 +207,12 @@ if [ "${STATUS[sanitizer-build]}" = "PASS" ]; then
   STORE_DIR="$(mktemp -d)"
   STORE_OUT="$(mktemp -d)"
   rc=0
-  IMPACT_STORE_DIR="${STORE_DIR}" "${BUILD_DIR}/bench/bench_fig11"       > "${STORE_OUT}/cold.txt" 2> "${STORE_OUT}/cold.err" || rc=1
+  IMPACT_STORE_DIR="${STORE_DIR}" "${BUILD_DIR}/apps/impact" run fig11       > "${STORE_OUT}/cold.txt" 2> "${STORE_OUT}/cold.err" || rc=1
   if [ $rc -eq 0 ]; then
-    IMPACT_STORE_DIR="${STORE_DIR}" "${BUILD_DIR}/bench/bench_fig11"         > "${STORE_OUT}/warm.txt" 2> "${STORE_OUT}/warm.err" || rc=1
+    IMPACT_STORE_DIR="${STORE_DIR}" "${BUILD_DIR}/apps/impact" run fig11         > "${STORE_OUT}/warm.txt" 2> "${STORE_OUT}/warm.err" || rc=1
   fi
   if [ $rc -eq 0 ]       && ! cmp -s "${STORE_OUT}/cold.txt" "${STORE_OUT}/warm.txt"; then
-    echo "store: warm bench_fig11 output differs from cold" >&2
+    echo "store: warm fig11 output differs from cold" >&2
     diff "${STORE_OUT}/cold.txt" "${STORE_OUT}/warm.txt" | head -20 >&2
     rc=1
   fi
@@ -225,7 +224,7 @@ if [ "${STATUS[sanitizer-build]}" = "PASS" ]; then
   if [ $rc -eq 0 ]; then
     # Paranoid audit: every hit re-simulated and byte-compared; any
     # divergence aborts the binary (and fails this stage).
-    IMPACT_STORE_DIR="${STORE_DIR}" IMPACT_STORE_VERIFY=1         "${BUILD_DIR}/bench/bench_fig11"         > "${STORE_OUT}/verify.txt" 2> /dev/null || rc=1
+    IMPACT_STORE_DIR="${STORE_DIR}" IMPACT_STORE_VERIFY=1         "${BUILD_DIR}/apps/impact" run fig11         > "${STORE_OUT}/verify.txt" 2> /dev/null || rc=1
     if [ $rc -eq 0 ]         && ! cmp -s "${STORE_OUT}/cold.txt" "${STORE_OUT}/verify.txt"; then
       echo "store: VERIFY re-simulation output differs from cold" >&2
       rc=1
@@ -239,8 +238,8 @@ else
 fi
 
 # --- Stage 6b: crash/resume (the on-disk store is the checkpoint) --------
-# bench_fig11 starts cold into a fresh on-disk store and is SIGKILLed
-# mid-grid, as soon as the store holds one durable record; a second
+# `impact run fig11` starts cold into a fresh on-disk store and is
+# SIGKILLed mid-grid, as soon as the store holds one durable record; a second
 # invocation over the same IMPACT_STORE_DIR must take every cell the first
 # one published from the store (at least one hit), re-simulate the rest,
 # and print stdout byte-identical to an uninterrupted reference run. When
@@ -252,11 +251,11 @@ if [ "${STATUS[sanitizer-build]}" = "PASS" ]; then
   RESUME_TMP="$(mktemp -d)"
   rc=0
   IMPACT_THREADS=2 IMPACT_STORE_DIR="${RESUME_TMP}/ref-store" \
-    "${BUILD_DIR}/bench/bench_fig11" \
+    "${BUILD_DIR}/apps/impact" run fig11 \
     > "${RESUME_TMP}/ref.txt" 2> /dev/null || rc=1
   if [ $rc -eq 0 ]; then
     IMPACT_THREADS=2 IMPACT_STORE_DIR="${RESUME_TMP}/store" \
-      "${BUILD_DIR}/bench/bench_fig11" \
+      "${BUILD_DIR}/apps/impact" run fig11 \
       > "${RESUME_TMP}/killed.txt" 2> /dev/null &
     RESUME_PID=$!
     # Kill once a record is durable (renamed into place), or after 600 s.
@@ -268,12 +267,12 @@ if [ "${STATUS[sanitizer-build]}" = "PASS" ]; then
     kill -9 "${RESUME_PID}" 2> /dev/null
     wait "${RESUME_PID}" 2> /dev/null
     IMPACT_THREADS=2 IMPACT_STORE_DIR="${RESUME_TMP}/store" \
-      "${BUILD_DIR}/bench/bench_fig11" \
+      "${BUILD_DIR}/apps/impact" run fig11 \
       > "${RESUME_TMP}/resumed.txt" 2> "${RESUME_TMP}/resumed.err" || rc=1
   fi
   if [ $rc -eq 0 ] \
       && ! cmp -s "${RESUME_TMP}/ref.txt" "${RESUME_TMP}/resumed.txt"; then
-    echo "resume: resumed bench_fig11 stdout differs from uninterrupted" >&2
+    echo "resume: resumed fig11 stdout differs from uninterrupted" >&2
     diff "${RESUME_TMP}/ref.txt" "${RESUME_TMP}/resumed.txt" | head -20 >&2
     rc=1
   fi
@@ -283,7 +282,7 @@ if [ "${STATUS[sanitizer-build]}" = "PASS" ]; then
   fi
   if [ $rc -eq 0 ]; then
     echo "resume: $(grep "^store:" "${RESUME_TMP}/resumed.err" | head -1)"
-    echo "resume: killed/resumed bench_fig11 byte-identical to" \
+    echo "resume: killed/resumed fig11 byte-identical to" \
       "uninterrupted reference"
   fi
   rm -rf "${RESUME_TMP}"
@@ -292,41 +291,23 @@ else
   echo "resume: skipped (sanitizer build failed)" >&2
 fi
 
-# --- Stage 6c: experiment registry (impact CLI vs thin shims) -----------
-# The registry is the single source of truth for every driver; the shims
-# and `impact run` must be two routes to the same experiment. Byte-compare
-# one bench driver and one example through both routes (IMPACT_THREADS
-# pinned: headers print the worker count), and exercise list/describe.
+# --- Stage 6c: experiment registry (impact list/describe) ---------------
+# The registry is the single source of truth for every experiment:
+# `impact list` must enumerate the whole built-in catalogue (26 specs) and
+# `impact describe` must resolve a spec.
 if [ "${STATUS[sanitizer-build]}" = "PASS" ]; then
   IMPACT_BIN="${BUILD_DIR}/apps/impact"
   LAB_TMP="$(mktemp -d)"
   rc=0
   "${IMPACT_BIN}" list > "${LAB_TMP}/list.txt" || rc=1
-  if [ $rc -eq 0 ] && [ "$(wc -l < "${LAB_TMP}/list.txt")" -lt 26 ]; then
-    echo "lab: impact list enumerated fewer than 26 experiments" >&2
+  if [ $rc -eq 0 ] && [ "$(wc -l < "${LAB_TMP}/list.txt")" -ne 26 ]; then
+    echo "lab: impact list did not enumerate exactly 26 experiments" >&2
     rc=1
   fi
   if [ $rc -eq 0 ]; then
     "${IMPACT_BIN}" describe fig11 > /dev/null || rc=1
   fi
-  for pair in "rowbuffer:bench/bench_rowbuffer" \
-              "rowclone_bulk_copy:examples/rowclone_bulk_copy"; do
-    [ $rc -eq 0 ] || break
-    name="${pair%%:*}"
-    shim="${pair#*:}"
-    IMPACT_THREADS=2 "${IMPACT_BIN}" run "${name}" --smoke \
-      > "${LAB_TMP}/cli.txt" 2> /dev/null || rc=1
-    IMPACT_THREADS=2 "${BUILD_DIR}/${shim}" --smoke \
-      > "${LAB_TMP}/shim.txt" 2> /dev/null || rc=1
-    if [ $rc -eq 0 ] \
-        && ! cmp -s "${LAB_TMP}/cli.txt" "${LAB_TMP}/shim.txt"; then
-      echo "lab: impact run ${name} differs from ${shim}" >&2
-      diff "${LAB_TMP}/cli.txt" "${LAB_TMP}/shim.txt" | head -20 >&2
-      rc=1
-    fi
-  done
-  [ $rc -eq 0 ] && echo "lab: list/describe ok; impact run byte-identical" \
-    "to shim binaries"
+  [ $rc -eq 0 ] && echo "lab: list/describe ok"
   rm -rf "${LAB_TMP}"
   stage lab $rc
 else

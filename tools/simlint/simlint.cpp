@@ -793,8 +793,7 @@ void check_layering(const std::vector<FileScan>& files,
 }
 
 /// Driver TUs — files directly under a scan root, hence layerless (the
-/// bench/, examples/, and apps/ trees) — must stay thin shims over the
-/// experiment registry: the only project headers they may include are
+/// apps/ tree) — must stay thin front ends over the experiment registry: the only project headers they may include are
 /// lab/ ones. Only quoted includes are recorded, so the standard library
 /// passes untouched; any other project header means experiment logic is
 /// growing back into a driver instead of src/lab/experiments/.
@@ -807,7 +806,7 @@ void check_driver_includes(const std::vector<FileScan>& files,
       if (inc.target.rfind("lab/", 0) == 0) continue;
       em.emit(kRuleDriverInclude, inc.line,
               "driver TU includes '" + inc.target + "' — drivers are thin "
-              "shims over the experiment registry; include only lab/ "
+              "front ends over the experiment registry; include only lab/ "
               "headers and move the logic into src/lab/experiments/");
     }
   }
