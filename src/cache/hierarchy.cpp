@@ -83,25 +83,34 @@ util::Cycle Hierarchy::full_lookup_latency() const {
   return config_.l1.latency + config_.l2.latency + config_.l3.latency;
 }
 
-void Hierarchy::handle_l3_eviction(const Eviction& ev, util::Cycle now) {
-  // Inclusive LLC: the victim must leave the upper levels too.
+bool Hierarchy::evict_from_upper_levels(const Eviction& ev) {
+  // Inclusive LLC: the victim must leave the upper levels too. A dirty
+  // victim is written back to DRAM (off the demand critical path, but it
+  // perturbs row-buffer state — a real noise source for the attacks).
   bool dirty = ev.dirty;
   if (const auto e1 = l1_.invalidate(ev.line)) dirty = dirty || e1->dirty;
   if (const auto e2 = l2_.invalidate(ev.line)) dirty = dirty || e2->dirty;
-  if (dirty) {
-    // Write the victim back to DRAM (off the demand critical path, but it
-    // perturbs row-buffer state — a real noise source for the attacks).
-    controller_->access(addr_of(ev.line), now, actor_);
-  }
+  return dirty;
 }
 
-void Hierarchy::fill_all_levels(LineAddr line, util::Cycle now, bool dirty) {
-  // Each level was just probed and missed in access(), and the L3 victim's
+// SIMLINT-HOT-BEGIN: per-access fast path — no allocation, no
+// std::string, no by-name registry resolves (docs/static-analysis.md).
+namespace {
+
+void push_request(FilterResult& out, dram::PhysAddr addr) {
+  out.requests[out.count++] = addr;
+}
+
+}  // namespace
+
+void Hierarchy::fill_all_levels(LineAddr line, bool dirty,
+                                FilterResult& out) {
+  // Each level was just probed and missed in filter(), and the L3 victim's
   // back-invalidation only removes lines, so every fill of `line` itself
   // can skip the tag re-probe. The victim write-down fills stay general:
   // an L2/L1 victim is usually still present in the level below.
   if (const auto ev3 = l3_.fill_known_miss(line, dirty)) {
-    handle_l3_eviction(*ev3, now);
+    if (evict_from_upper_levels(*ev3)) push_request(out, addr_of(ev3->line));
   }
   if (const auto ev2 = l2_.fill_known_miss(line)) {
     // Non-inclusive upper levels: a dirty L2 victim flows down into L3.
@@ -112,18 +121,20 @@ void Hierarchy::fill_all_levels(LineAddr line, util::Cycle now, bool dirty) {
   }
 }
 
-void Hierarchy::issue_prefetches(const std::vector<LineAddr>& candidates,
-                                 util::Cycle now) {
+void Hierarchy::queue_prefetches(const std::vector<LineAddr>& candidates,
+                                 FilterResult& out) {
   for (LineAddr line : candidates) {
     const dram::PhysAddr addr = addr_of(line);
     if (addr >= controller_->mapping().capacity()) continue;
     if (l2_.contains(line) || l3_.contains(line)) continue;
     ++prefetch_fills_;
-    controller_->access(addr, now, actor_);  // DRAM-side pollution.
+    push_request(out, addr);  // DRAM-side pollution.
     // Both levels verified absent just above (back-invalidation of the L3
     // victim cannot re-insert `line`), so the fills skip the re-probe.
     if (const auto ev3 = l3_.fill_known_miss(line, false)) {
-      handle_l3_eviction(*ev3, now);
+      if (evict_from_upper_levels(*ev3)) {
+        push_request(out, addr_of(ev3->line));
+      }
     }
     if (const auto ev2 = l2_.fill_known_miss(line)) {
       if (ev2->dirty) l3_.fill(ev2->line, true);
@@ -131,12 +142,10 @@ void Hierarchy::issue_prefetches(const std::vector<LineAddr>& candidates,
   }
 }
 
-// SIMLINT-HOT-BEGIN: per-access fast path — no allocation, no
-// std::string, no by-name registry resolves (docs/static-analysis.md).
-MemAccessResult Hierarchy::access(dram::PhysAddr addr, util::Cycle now,
-                                  bool is_write, std::uint64_t pc) {
+FilterResult Hierarchy::filter(dram::PhysAddr addr, bool is_write,
+                               std::uint64_t pc) {
   const LineAddr line = line_of(addr);
-  MemAccessResult r;
+  FilterResult r;
 
   // Host-side prefetch of the L2/L3 set metadata: those sets are random
   // from the host's perspective and will be scanned tens of nanoseconds
@@ -164,9 +173,7 @@ MemAccessResult Hierarchy::access(dram::PhysAddr addr, util::Cycle now,
     if (const auto ev1 = l1_.fill_known_miss(line, is_write)) {
       if (ev1->dirty) l2_.fill(ev1->line, true);
     }
-    if (!l1_prefetches.empty()) {
-      issue_prefetches(l1_prefetches, now + r.latency);
-    }
+    queue_prefetches(l1_prefetches, r);
     return r;
   }
 
@@ -186,39 +193,45 @@ MemAccessResult Hierarchy::access(dram::PhysAddr addr, util::Cycle now,
     if (const auto ev1 = l1_.fill_known_miss(line, is_write)) {
       if (ev1->dirty) l2_.fill(ev1->line, true);
     }
-    if (!l1_prefetches.empty()) {
-      issue_prefetches(l1_prefetches, now + r.latency);
-    }
-    if (!l2_prefetches.empty()) {
-      issue_prefetches(l2_prefetches, now + r.latency);
-    }
+    queue_prefetches(l1_prefetches, r);
+    queue_prefetches(l2_prefetches, r);
     return r;
   }
 
-  // Demand miss all the way to DRAM.
-  const auto mem = controller_->access(addr, now + r.latency, actor_);
-  r.latency += mem.latency;
+  // Demand miss all the way to DRAM: it issues first, everything else
+  // once its data has returned.
   r.level = HitLevel::kMemory;
-  r.dram_outcome = mem.outcome;
-  fill_all_levels(line, now + r.latency, is_write);
-  if (!l1_prefetches.empty()) {
-    issue_prefetches(l1_prefetches, now + r.latency);
+  push_request(r, addr);
+  fill_all_levels(line, is_write, r);
+  queue_prefetches(l1_prefetches, r);
+  queue_prefetches(l2_prefetches, r);
+  return r;
+}
+
+MemAccessResult issue(const FilterResult& f,
+                      dram::MemoryController& controller,
+                      dram::ActorId actor, util::Cycle now) {
+  MemAccessResult r;
+  r.latency = f.latency;
+  r.level = f.level;
+  std::size_t i = 0;
+  if (f.demand_miss()) {
+    const auto mem = controller.access(f.requests[0], now + r.latency, actor);
+    r.latency += mem.latency;
+    r.dram_outcome = mem.outcome;
+    i = 1;
   }
-  if (!l2_prefetches.empty()) {
-    issue_prefetches(l2_prefetches, now + r.latency);
+  for (; i < f.count; ++i) {
+    controller.access(f.requests[i], now + r.latency, actor);
   }
   return r;
 }
 
-void Hierarchy::access_batch(const dram::PhysAddr* addrs,
-                             const util::Cycle* issue, std::size_t n,
-                             MemAccessResult* results, bool is_write) {
-  // Stateful in-order front end (see header): one tight loop over the
-  // scalar body keeps every replacement/prefetcher decision identical.
-  for (std::size_t i = 0; i < n; ++i) {
-    results[i] = access(addrs[i], issue[i], is_write);
-  }
+MemAccessResult Hierarchy::access(dram::PhysAddr addr, util::Cycle now,
+                                  bool is_write, std::uint64_t pc) {
+  return issue(filter(addr, is_write, pc), *controller_, actor_, now);
 }
+
 // SIMLINT-HOT-END
 
 util::Cycle Hierarchy::clflush(dram::PhysAddr addr, util::Cycle now) {
@@ -268,7 +281,9 @@ util::Cycle Hierarchy::evict_via_set(dram::PhysAddr addr, util::Cycle now,
           controller_->access(addr_of(l), now + lookup_cycles, actor_);
       dram_cycles += mem.latency;
       if (const auto ev3 = l3_.fill_known_miss(l)) {
-        handle_l3_eviction(*ev3, now);
+        if (evict_from_upper_levels(*ev3)) {
+          controller_->access(addr_of(ev3->line), now, actor_);
+        }
       }
     } else {
       // Promote; keeps the set pressure honest. Collapses the seed's

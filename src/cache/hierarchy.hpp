@@ -9,6 +9,7 @@
 // the way the paper's §3 analysis assumes.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -63,6 +64,43 @@ struct MemAccessResult {
   dram::RowBufferOutcome dram_outcome = dram::RowBufferOutcome::kEmpty;
 };
 
+/// Prefetch degrees of the Table 2 prefetchers (lines per trigger).
+inline constexpr std::uint32_t kIpStrideDegree = 2;
+inline constexpr std::uint32_t kStreamerDegree = 2;
+
+/// What one demand access does on the processor side, before any DRAM
+/// request is issued: the output of Hierarchy::filter. Cache, TLB and
+/// prefetcher state never reads the clock and prefetch fills are instant,
+/// so none of this depends on when, or how, DRAM serves the requests.
+struct FilterResult {
+  /// Upper bound on the DRAM requests of one access: the demand miss, the
+  /// writeback of the L3 victim its fill displaces, and for every prefetch
+  /// candidate one fill plus the writeback of the L3 victim it displaces.
+  static constexpr std::size_t kMaxRequests =
+      2 + 2 * (kIpStrideDegree + kStreamerDegree);
+
+  /// Lookup latency down to the hit level (all three levels on a miss).
+  util::Cycle latency = 0;
+  HitLevel level = HitLevel::kL1;
+  std::uint8_t count = 0;  ///< Used entries of `requests`.
+  /// DRAM requests in issue order. With level == kMemory, requests[0] is
+  /// the demand miss; the rest (fill writebacks, prefetch fills and their
+  /// writebacks) issue once the demand data has returned.
+  std::array<dram::PhysAddr, kMaxRequests> requests{};
+
+  [[nodiscard]] bool demand_miss() const { return level == HitLevel::kMemory; }
+};
+
+/// The issue step of an access: sends `f`'s requests to `controller` on
+/// behalf of `actor` for an access that started at `now`. The demand miss
+/// issues at now + f.latency; every later request issues when its data
+/// has returned (now + the returned latency). Hierarchy::access is
+/// filter + issue; the Fig. 11 replay (graph::replay_dram) issues recorded
+/// FilterResults through this same function.
+MemAccessResult issue(const FilterResult& f,
+                      dram::MemoryController& controller,
+                      dram::ActorId actor, util::Cycle now);
+
 class Hierarchy {
  public:
   /// The hierarchy issues misses/writebacks/prefetch fills to `controller`
@@ -80,21 +118,16 @@ class Hierarchy {
   [[nodiscard]] const HierarchyConfig& config() const { return config_; }
 
   /// A demand load/store at `now`. `pc` feeds the prefetchers.
+  /// Equivalent to issue(filter(addr, is_write, pc), controller, actor,
+  /// now), which is how it is implemented.
   MemAccessResult access(dram::PhysAddr addr, util::Cycle now,
                          bool is_write = false, std::uint64_t pc = 0);
 
-  /// Batched front end of the access-stream API (docs/performance.md,
-  /// "Batched access streams"): resolves `n` independently-issued demand
-  /// accesses, filling `results[i]` bit-identically to
-  /// `access(addrs[i], issue[i], is_write)` in index order. Hits are
-  /// filtered in the flat tag arrays; only misses reach the controller.
-  /// Cache state (replacement, prefetchers, inclusive invalidation) chains
-  /// through the stream exactly as in the scalar sequence — this is the
-  /// stateful front end of the batch path, so requests are processed in
-  /// order rather than grouped.
-  void access_batch(const dram::PhysAddr* addrs, const util::Cycle* issue,
-                    std::size_t n, MemAccessResult* results,
-                    bool is_write = false);
+  /// The state-only step of access(): updates tags, replacement state and
+  /// prefetcher training, and returns the hit level, the lookup latency
+  /// and the DRAM requests the access emits, without issuing them.
+  [[nodiscard]] FilterResult filter(dram::PhysAddr addr, bool is_write,
+                                    std::uint64_t pc = 0);
 
   /// x86 `clflush`: probes the LLC, writes back if dirty (write-back latency
   /// lands on the critical path, §3.2), invalidates everywhere. Returns the
@@ -149,12 +182,16 @@ class Hierarchy {
                             : line * config_.l1.line_bytes;
   }
 
-  /// Installs a line in L3/L2/L1 handling inclusive back-invalidation and
-  /// dirty writebacks. `now` anchors any writeback DRAM traffic.
-  void fill_all_levels(LineAddr line, util::Cycle now, bool dirty);
-  void handle_l3_eviction(const Eviction& ev, util::Cycle now);
-  void issue_prefetches(const std::vector<LineAddr>& candidates,
-                        util::Cycle now);
+  /// Installs a line in L3/L2/L1 handling inclusive back-invalidation,
+  /// appending the dirty L3 victim's writeback to `out`.
+  void fill_all_levels(LineAddr line, bool dirty, FilterResult& out);
+  /// Back-invalidates an L3 victim from the upper levels; returns whether
+  /// it must be written back to DRAM.
+  bool evict_from_upper_levels(const Eviction& ev);
+  /// Installs the prefetch candidates absent from L2 and L3, appending each
+  /// fill (and any L3 victim writeback it causes) to `out`.
+  void queue_prefetches(const std::vector<LineAddr>& candidates,
+                        FilterResult& out);
 
   HierarchyConfig config_;
   dram::MemoryController* controller_;
@@ -163,8 +200,8 @@ class Hierarchy {
   Cache l1_;
   Cache l2_;
   Cache l3_;
-  IpStridePrefetcher ip_stride_;
-  StreamerPrefetcher streamer_;
+  IpStridePrefetcher ip_stride_{64, kIpStrideDegree};
+  StreamerPrefetcher streamer_{16, kStreamerDegree};
   std::uint64_t prefetch_fills_ = 0;
   /// Prefetch-candidate scratch, reused across accesses so the (very hot)
   /// miss path does not allocate. `access` is not reentrant, so one buffer

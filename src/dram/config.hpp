@@ -68,6 +68,8 @@ struct TimingParams {
   /// paper's warmed-up measurement windows).
   double trefi_ns = 0.0;
   double trfc_ns = 350.0;
+
+  friend bool operator==(const TimingParams&, const TimingParams&) = default;
 };
 
 /// Timing parameters converted to host CPU cycles.
@@ -124,6 +126,8 @@ struct DramConfig {
   RowPolicy policy = RowPolicy::kOpenRow;
   TimingParams timing{};
   util::Frequency freq = util::kDefaultFrequency;
+
+  friend bool operator==(const DramConfig&, const DramConfig&) = default;
 
   [[nodiscard]] std::uint32_t total_banks() const {
     return channels * ranks * banks_per_rank;

@@ -118,29 +118,4 @@ void ThreadPool::worker_loop(std::size_t self) {
   }
 }
 
-void ThreadPool::for_each_index(std::size_t n,
-                                const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  if (size() == 1 || n == 1) {
-    // Degenerate batch: run inline. Results are identical either way (the
-    // tasks are independent by contract); this just skips the queue.
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  std::vector<std::future<void>> futures;
-  futures.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    futures.push_back(submit([&fn, i] { fn(i); }));
-  }
-  std::exception_ptr first;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first) first = std::current_exception();
-    }
-  }
-  if (first) std::rethrow_exception(first);
-}
-
 }  // namespace impact::exec

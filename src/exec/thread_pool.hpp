@@ -59,13 +59,6 @@ class ThreadPool {
   /// Enqueues one task. The future carries the task's exception, if any.
   std::future<void> submit(std::function<void()> task);
 
-  /// Runs fn(0) .. fn(n-1) across the pool and blocks until all complete.
-  /// The first exception thrown by any index is rethrown here (after every
-  /// started task has finished); remaining unstarted indices still run —
-  /// batch members are independent by contract. n == 0 is a no-op.
-  void for_each_index(std::size_t n,
-                      const std::function<void(std::size_t)>& fn);
-
  private:
   struct Queue {
     std::mutex mutex;

@@ -63,19 +63,36 @@ int run_ablation_timeout(Context&) {
   graph::MultiprogConfig base;
   base.rmat_scale = 13;
   base.edge_count = 1u << 16;
-  const auto bfs_open = graph::run_multiprogrammed(
-      base, graph::WorkloadKind::kBFS, dram::RowPolicy::kOpenRow);
-  const auto pr_open = graph::run_multiprogrammed(
-      base, graph::WorkloadKind::kPR, dram::RowPolicy::kOpenRow);
+  // The timeout changes only DRAM, so each input is built and filtered
+  // through the caches once, then replayed under the open-row baseline and
+  // every timeout (graph::filter_instance / graph::replay_dram).
+  struct Filtered {
+    graph::WorkloadInput input;
+    graph::DramStream a;
+    graph::DramStream b;
+  };
+  const auto filter = [&base](graph::WorkloadKind kind) {
+    Filtered f{graph::build_input(base, kind), {}, {}};
+    f.a = graph::filter_instance(base, f.input, graph::Instance::kA);
+    f.b = graph::filter_instance(base, f.input, graph::Instance::kB);
+    return f;
+  };
+  const auto replay = [](const graph::MultiprogConfig& config,
+                         const Filtered& f) {
+    return graph::replay_dram(config, f.input, f.a, f.b,
+                              dram::RowPolicy::kOpenRow);
+  };
+  const Filtered bfs_input = filter(graph::WorkloadKind::kBFS);
+  const Filtered pr_input = filter(graph::WorkloadKind::kPR);
+  const auto bfs_open = replay(base, bfs_input);
+  const auto pr_open = replay(base, pr_input);
   for (const double ns : {1000.0, 200.0, 100.0}) {
     graph::MultiprogConfig config = base;
     config.system.dram.timing.timeout_mode =
         dram::RowTimeoutMode::kIdlePrecharge;
     config.system.dram.timing.row_timeout_ns = ns;
-    const auto bfs = graph::run_multiprogrammed(
-        config, graph::WorkloadKind::kBFS, dram::RowPolicy::kOpenRow);
-    const auto pr = graph::run_multiprogrammed(
-        config, graph::WorkloadKind::kPR, dram::RowPolicy::kOpenRow);
+    const auto bfs = replay(config, bfs_input);
+    const auto pr = replay(config, pr_input);
     cost.add_row(
         {util::Table::num(ns, 0),
          util::Table::num(100.0 * (static_cast<double>(bfs.cycles) /

@@ -1,7 +1,9 @@
 #include "store/cell_runner.hpp"
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <utility>
 
 namespace impact::store {
@@ -57,40 +59,74 @@ CellRunner::MatrixResult CellRunner::defense_matrix(
   std::vector<std::vector<CellState>> states(kinds.size());
   std::vector<std::vector<exec::Sweep::TaskId>> ids(
       kinds.size(), std::vector<exec::Sweep::TaskId>(policies.size()));
+  // Per-workload filter output: one DramStream per instance, written by
+  // that instance's filter task and read by the workload's policy cells
+  // (the sweep's dependency edges order the two). The last policy cell to
+  // finish releases both streams, so a grid holds the streams of only the
+  // workloads it is still replaying.
+  struct Streams {
+    std::optional<graph::DramStream> instance[2];
+    std::atomic<std::size_t> pending{0};  ///< Policy cells not yet done.
+
+    void cell_done() {
+      if (--pending == 0) {
+        instance[0].reset();
+        instance[1].reset();
+      }
+    }
+  };
+  std::vector<Streams> streams(kinds.size());
 
   exec::Sweep sweep(pool_);
   sweep.set_capture(true);
   for (std::size_t w = 0; w < kinds.size(); ++w) {
     const graph::WorkloadKind kind = kinds[w];
+    const std::string kind_name = to_string(kind);
     states[w].resize(policies.size());
+    streams[w].pending = policies.size();
     for (std::size_t p = 0; p < policies.size(); ++p) {
       states[w][p].fp = matrix_cell_fingerprint(config, kind, policies[p]);
-      states[w][p].label = "run:" + std::string(to_string(kind)) + ":" +
-                           to_string(policies[p]);
+      states[w][p].label = "run:" + kind_name + ":" + to_string(policies[p]);
     }
 
-    // The input build is itself cache-aware: when every policy cell of
-    // this workload already has a record (and we are not auditing), the
-    // graph never needs to exist. In verify mode the cells will
-    // re-simulate, so the input must be built regardless.
-    exec::CacheHooks build_hooks;
-    build_hooks.probe = [this, &config, w, &states, verify] {
-      if (verify) return false;
-      for (const CellState& cell : states[w]) {
-        if (!cache_.contains(cell.fp)) return false;
-      }
-      return true;
+    // The input build and the filters are themselves cache-aware: when
+    // every policy cell of this workload already has a record (and we are
+    // not auditing), neither the graph nor the streams need to exist. In
+    // verify mode the cells will re-simulate, so both run regardless.
+    const auto skip_when_all_cached = [this, w, &states, verify] {
+      exec::CacheHooks hooks;
+      hooks.probe = [this, w, &states, verify] {
+        if (verify) return false;
+        for (const CellState& cell : states[w]) {
+          if (!cache_.contains(cell.fp)) return false;
+        }
+        return true;
+      };
+      return hooks;
     };
     const exec::Sweep::TaskId build = sweep.add_cached(
-        "input:" + std::string(to_string(kind)),
+        "input:" + kind_name,
         [this, &config, kind] { (void)workloads_.get(config, kind); },
-        std::move(build_hooks));
+        skip_when_all_cached());
+    exec::Sweep::TaskId filters[2];
+    for (const graph::Instance instance :
+         {graph::Instance::kA, graph::Instance::kB}) {
+      const auto i = static_cast<std::size_t>(instance);
+      filters[i] = sweep.add_cached(
+          "filter:" + kind_name + (i == 0 ? ":A" : ":B"),
+          [this, &config, kind, instance, &slot = streams[w].instance[i]] {
+            slot = graph::filter_instance(
+                config, *workloads_.get(config, kind), instance);
+          },
+          skip_when_all_cached(), {build});
+    }
 
     for (std::size_t p = 0; p < policies.size(); ++p) {
       CellState& cell = states[w][p];
       MatrixCell& slot = out.cells[w][p];
+      Streams& ws = streams[w];
       exec::CacheHooks hooks;
-      hooks.probe = [this, verify, &cell, &slot] {
+      hooks.probe = [this, verify, &cell, &slot, &ws] {
         std::string raw;
         std::optional<Record> rec = cache_.lookup(cell.fp, &raw);
         if (!rec) return false;
@@ -105,6 +141,7 @@ CellRunner::MatrixResult CellRunner::defense_matrix(
         slot.snapshot = std::move(rec->snapshot);
         slot.cached = true;
         cell.cached = 1;
+        ws.cell_done();
         return true;
       };
       hooks.publish = [this, &cell, &slot](const obs::Snapshot& snap) {
@@ -116,20 +153,23 @@ CellRunner::MatrixResult CellRunner::defense_matrix(
         }
         cache_.store(rec);
       };
-      const graph::WorkloadKind cell_kind = kind;
       const dram::RowPolicy policy = policies[p];
       ids[w][p] = sweep.add_cached(
           cell.label,
-          // Re-resolving through the WorkloadStore (instead of holding a
-          // pointer filled by the build task) keeps the cell correct even
-          // when the build was probe-skipped but this cell's record then
-          // failed to decode: get() builds on demand, exactly once.
-          [this, &config, cell_kind, policy, &slot] {
-            const graph::WorkloadInput* input =
-                workloads_.get(config, cell_kind);
-            slot.stats = graph::run_multiprogrammed(config, *input, policy);
+          [this, &config, kind, policy, &slot, &ws] {
+            const graph::WorkloadInput& input = *workloads_.get(config, kind);
+            if (ws.instance[0] && ws.instance[1]) {
+              slot.stats = graph::replay_dram(config, input, *ws.instance[0],
+                                              *ws.instance[1], policy);
+            } else {
+              // The filters were probe-skipped (every cell had a record)
+              // but this cell's record then failed to decode: run it
+              // whole. get() builds the input on demand, exactly once.
+              slot.stats = graph::run_multiprogrammed(config, input, policy);
+            }
+            ws.cell_done();
           },
-          std::move(hooks), {build});
+          std::move(hooks), {filters[0], filters[1]});
     }
   }
 

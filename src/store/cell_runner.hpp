@@ -10,8 +10,10 @@
 //
 // Two grid shapes cover all current drivers:
 //   - defense_matrix: the Fig. 11 (workload x row-policy) grid with
-//     shared per-workload inputs interned in a WorkloadStore. Typed
-//     results (graph::RunStats + per-cell obs::Snapshot).
+//     shared per-workload inputs interned in a WorkloadStore, filtered
+//     through the caches once per workload and replayed through DRAM once
+//     per policy. Typed results (graph::RunStats + per-cell
+//     obs::Snapshot).
 //   - rows: a flat N-cell sweep where each cell renders one table row
 //     (vector<string>) — the ablation and figure drivers.
 //
@@ -67,11 +69,16 @@ class CellRunner {
     [[nodiscard]] bool ok() const { return report.ok(); }
   };
 
-  /// Runs the (kinds x policies) defense grid. Per-workload inputs come
-  /// from the WorkloadStore (built at most once per distinct input
-  /// fingerprint); the input-build task of a workload whose policy cells
-  /// are all cached is itself skipped, so a fully warm grid builds no
-  /// graphs at all.
+  /// Runs the (kinds x policies) defense grid. Per workload: one
+  /// input-build task (inputs come from the WorkloadStore, built at most
+  /// once per distinct input fingerprint), one graph::filter_instance task
+  /// per instance that depends on it, and one graph::replay_dram cell per
+  /// policy that depends on both filters. The caches and TLBs are thus
+  /// simulated once per workload, DRAM once per policy; a workload's
+  /// streams are released when its last policy cell is done. The build
+  /// and filter tasks of a workload whose policy cells are all cached are
+  /// skipped (and counted as hits), so a fully warm grid builds no graphs
+  /// and filters nothing.
   [[nodiscard]] MatrixResult defense_matrix(
       const graph::MultiprogConfig& config,
       std::span<const graph::WorkloadKind> kinds,

@@ -1,8 +1,10 @@
 #include "sys/system.hpp"
 
+#include <bit>
 #include <cstdio>
 
 #include "check/protocol_checker.hpp"
+#include "util/assert.hpp"
 
 namespace impact::sys {
 
@@ -56,8 +58,18 @@ MemorySystem::CpuContext::CpuContext(const SystemConfig& cfg,
           }(),
           controller, actor) {}
 
+namespace {
+
+const SystemConfig& validated(const SystemConfig& config) {
+  util::check(std::has_single_bit(config.cache_scale),
+              "SystemConfig: cache_scale must be a power of two");
+  return config;
+}
+
+}  // namespace
+
 MemorySystem::MemorySystem(SystemConfig config)
-    : config_(config),
+    : config_(validated(config)),
       controller_(config.dram, config.mapping, /*with_data=*/true),
       vmem_(controller_.mapping(), config.seed),
       timestamp_(config.timer) {}

@@ -11,6 +11,14 @@
 // slices preserve every mechanism the paper measures; the purely
 // cache-resident comparison attack (Streamline) is modelled analytically,
 // exactly as the paper itself does (§5.1).
+//
+// Private hierarchies also make a process's processor side independent of
+// DRAM: TLB, cache and prefetcher state never reads the clock and prefetch
+// fills are instant, so the hit/miss sequence of one process and the DRAM
+// requests it emits (cache::Hierarchy::filter) are the same under every
+// row policy and DRAM timing. The Fig. 11 grid relies on this: it filters
+// each workload through the caches once and replays only DRAM per policy
+// (graph::filter_instance / graph::replay_dram).
 #pragma once
 
 #include <cstdint>
@@ -36,6 +44,8 @@ struct DmaConfig {
   /// §5.1 assumes a powerful attacker who avoids context-switch and most
   /// OS costs; this is the irreducible user-space driver overhead left.
   util::Cycle per_transfer_overhead = 330;
+
+  friend bool operator==(const DmaConfig&, const DmaConfig&) = default;
 };
 
 struct SystemConfig {
@@ -45,10 +55,11 @@ struct SystemConfig {
   dram::MappingScheme mapping = dram::MappingScheme::kBankInterleaved;
   std::uint64_t llc_bytes = 8ull * 1024 * 1024;  // 2 MiB/core x 4 cores.
   std::uint32_t llc_ways = 16;
-  /// Uniform divisor applied to all cache capacities (power of two). The
-  /// Fig. 11 reproduction scales hierarchy and input graph down together
-  /// (the paper's inputs are 7-8 GB), preserving working-set-to-cache
-  /// ratios and with them the per-workload MPKI regime.
+  /// Uniform divisor applied to all cache capacities: a power of two
+  /// (MemorySystem rejects anything else, 0 included). The Fig. 11
+  /// reproduction scales hierarchy and input graph down together (the
+  /// paper's inputs are 7-8 GB), preserving working-set-to-cache ratios
+  /// and with them the per-workload MPKI regime.
   std::uint32_t cache_scale = 1;
   bool prefetchers = true;
   TlbConfig tlb{};
@@ -62,6 +73,8 @@ struct SystemConfig {
 
   /// Human-readable Table 2-style description for bench headers.
   [[nodiscard]] std::string describe() const;
+
+  friend bool operator==(const SystemConfig&, const SystemConfig&) = default;
 };
 
 /// Result of one access over any path.
@@ -73,6 +86,8 @@ struct PathResult {
 
 class MemorySystem {
  public:
+  /// Throws std::invalid_argument when `config.cache_scale` is not a
+  /// power of two.
   explicit MemorySystem(SystemConfig config);
 
   [[nodiscard]] const SystemConfig& config() const { return config_; }
@@ -111,50 +126,6 @@ class MemorySystem {
   PathResult store(dram::ActorId actor, VAddr vaddr, util::Cycle& clock,
                    std::uint64_t pc = 0);
 
-  /// Cached per-actor CPU-side path for hot replay loops: resolves the
-  /// actor's TLB, hierarchy, and translation view once, so the per-access
-  /// path touches no actor hash maps. load/store are bit-identical to
-  /// MemorySystem::load/store for the same actor (the underlying TLB,
-  /// caches, and banks are the very same objects — a port and the façade
-  /// calls may be freely interleaved). Valid for the system's lifetime.
-  class AccessPort {
-   public:
-    PathResult load(VAddr vaddr, util::Cycle& clock, std::uint64_t pc = 0) {
-      return access(vaddr, clock, /*is_write=*/false, pc);
-    }
-    PathResult store(VAddr vaddr, util::Cycle& clock, std::uint64_t pc = 0) {
-      return access(vaddr, clock, /*is_write=*/true, pc);
-    }
-
-   private:
-    friend class MemorySystem;
-    AccessPort(Tlb& tlb, cache::Hierarchy& hier,
-               VirtualMemory::TranslationView view)
-        : tlb_(&tlb), hier_(&hier), view_(view) {}
-
-    PathResult access(VAddr vaddr, util::Cycle& clock, bool is_write,
-                      std::uint64_t pc) {
-      const auto tr = tlb_->translate(vaddr, view_.is_huge(vaddr));
-      const dram::PhysAddr paddr = view_.translate(vaddr);
-      const auto mem = hier_->access(paddr, clock + tr.latency, is_write, pc);
-      PathResult r;
-      r.latency = tr.latency + mem.latency;
-      r.level = mem.level;
-      r.outcome = mem.dram_outcome;
-      clock += r.latency;
-      return r;
-    }
-
-    Tlb* tlb_;
-    cache::Hierarchy* hier_;
-    VirtualMemory::TranslationView view_;
-  };
-
-  /// Builds an AccessPort for `actor` (creating its context on first use).
-  [[nodiscard]] AccessPort port(dram::ActorId actor) {
-    auto& ctx = context(actor);
-    return AccessPort(ctx.tlb, ctx.hierarchy, vmem_.view(actor));
-  }
   /// clflush of the line holding `vaddr` (translate + LLC probe + WB).
   util::Cycle clflush(dram::ActorId actor, VAddr vaddr, util::Cycle& clock);
   /// Eviction-set displacement of the line holding `vaddr` (§3.3 baseline).

@@ -14,6 +14,8 @@ namespace impact::sys {
 struct TimerConfig {
   util::Cycle rdtscp_cost = 24;  ///< rdtscp itself.
   util::Cycle cpuid_cost = 28;   ///< Serializing cpuid before the read.
+
+  friend bool operator==(const TimerConfig&, const TimerConfig&) = default;
 };
 
 /// Emulated timestamp counter bound to an actor's local clock.

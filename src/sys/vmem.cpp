@@ -21,11 +21,11 @@ VirtualMemory::VirtualMemory(const dram::AddressMapping& mapping,
   // map_row_span, which attacks aim at low row numbers) do not race with
   // random allocations for the same frames. Capped pool size keeps setup
   // cheap for very large devices.
-  const std::uint64_t base = frames_total_ / 2;
+  pool_base_ = frames_total_ / 2;
   const std::uint64_t pool =
-      std::min<std::uint64_t>(frames_total_ - base, 1ull << 20);
+      std::min<std::uint64_t>(frames_total_ - pool_base_, 1ull << 20);
   shuffled_free_.resize(pool);
-  for (std::uint64_t i = 0; i < pool; ++i) shuffled_free_[i] = base + i;
+  for (std::uint32_t i = 0; i < pool; ++i) shuffled_free_[i] = i;
   util::Xoshiro256 rng(seed);
   for (std::uint64_t i = pool; i > 1; --i) {
     std::swap(shuffled_free_[i - 1], shuffled_free_[rng.below(i)]);
@@ -54,7 +54,7 @@ void VirtualMemory::claim_frame(std::uint64_t frame) {
 
 std::uint64_t VirtualMemory::take_free_frame() {
   while (shuffled_pos_ < shuffled_free_.size()) {
-    const std::uint64_t f = shuffled_free_[shuffled_pos_++];
+    const std::uint64_t f = pool_base_ + shuffled_free_[shuffled_pos_++];
     if (!frame_taken_[f]) {
       claim_frame(f);
       return f;

@@ -152,7 +152,11 @@ class VirtualMemory {
   std::uint64_t frames_total_;
   std::uint64_t frames_used_ = 0;
   std::vector<bool> frame_taken_;
-  std::vector<std::uint64_t> shuffled_free_;  ///< Randomized handout order.
+  /// Randomized handout order, as offsets from pool_base_ (the pool is
+  /// capped at 2^20 frames, so 32 bits hold any offset and halve the
+  /// footprint every MemorySystem pays).
+  std::vector<std::uint32_t> shuffled_free_;
+  std::uint64_t pool_base_ = 0;
   std::size_t shuffled_pos_ = 0;
   std::unordered_map<dram::ActorId, Process> processes_;
 };

@@ -21,6 +21,9 @@ class Frequency {
   constexpr explicit Frequency(double ghz) : ghz_(ghz) {}
 
   [[nodiscard]] constexpr double ghz() const { return ghz_; }
+
+  friend constexpr bool operator==(const Frequency&,
+                                   const Frequency&) = default;
   [[nodiscard]] constexpr double hz() const { return ghz_ * 1e9; }
 
   /// Number of CPU cycles covering `ns` nanoseconds, rounded up (a DRAM

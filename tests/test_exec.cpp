@@ -1,5 +1,5 @@
 // Tests of the parallel experiment engine (src/exec/): thread-pool
-// behaviour (exception propagation, degenerate batches, IMPACT_THREADS
+// behaviour (exception propagation, single-worker pools, IMPACT_THREADS
 // parsing), seed derivation, sweep dependency ordering and failure
 // isolation, and — most importantly — the determinism
 // contract: parallel sweeps must be byte-identical to serial ones for any
@@ -44,48 +44,14 @@ TEST(ThreadPool, SubmitPropagatesExceptions) {
   EXPECT_THROW(f.get(), std::runtime_error);
 }
 
-TEST(ThreadPool, ForEachIndexCoversEveryIndexOnce) {
-  exec::ThreadPool pool(4);
-  constexpr std::size_t kN = 100;
-  std::vector<std::atomic<int>> hits(kN);
-  pool.for_each_index(kN, [&](std::size_t i) { ++hits[i]; });
-  for (std::size_t i = 0; i < kN; ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(ThreadPool, ForEachIndexPropagatesFirstException) {
-  exec::ThreadPool pool(2);
-  std::atomic<int> completed{0};
-  EXPECT_THROW(
-      pool.for_each_index(16,
-                          [&](std::size_t i) {
-                            if (i == 5) throw std::invalid_argument("boom");
-                            ++completed;
-                          }),
-      std::invalid_argument);
-  // Batch members are independent: the other 15 indices still ran.
-  EXPECT_EQ(completed.load(), 15);
-}
-
-TEST(ThreadPool, EmptyBatchIsANoOp) {
-  exec::ThreadPool pool(2);
-  pool.for_each_index(0, [](std::size_t) { FAIL() << "must not be called"; });
-}
-
-TEST(ThreadPool, OversizedBatchDoesNotDeadlock) {
-  // Far more tasks than workers: everything must drain.
-  exec::ThreadPool pool(2);
-  constexpr std::size_t kN = 2000;
-  std::atomic<std::size_t> done{0};
-  pool.for_each_index(kN, [&](std::size_t) { ++done; });
-  EXPECT_EQ(done.load(), kN);
-}
-
 TEST(ThreadPool, SingleWorkerPoolStillCompletes) {
   exec::ThreadPool pool(1);
   std::atomic<int> counter{0};
-  pool.for_each_index(10, [&](std::size_t) { ++counter; });
+  std::vector<std::future<void>> futures;
+  for (int i = 0; i < 10; ++i) {
+    futures.push_back(pool.submit([&counter] { ++counter; }));
+  }
+  for (auto& f : futures) f.get();
   EXPECT_EQ(counter.load(), 10);
 }
 

@@ -1,11 +1,16 @@
 // Unit + property tests: graph substrate and multiprogrammed replay.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
+#include <vector>
 
+#include "dram/controller.hpp"
 #include "graph/graph.hpp"
 #include "graph/multiprog.hpp"
 #include "graph/workload.hpp"
+#include "obs/scope.hpp"
+#include "sys/system.hpp"
 
 namespace impact::graph {
 namespace {
@@ -191,6 +196,211 @@ TEST(Multiprog, ConstantTimeHidesRowState) {
                                          dram::RowPolicy::kConstantTime);
   // Every DRAM access is padded: observable outcomes carry no hit signal.
   EXPECT_GT(stats.cycles, 0u);
+}
+
+// --- Filter once, replay DRAM per policy: an independent oracle ----------
+
+/// One cell as the fused per-op loop sees it: RunStats, every bank's
+/// stats, and the cell's obs snapshot.
+struct CellOutcome {
+  RunStats stats;
+  std::vector<dram::BankStats> banks;
+  obs::Snapshot snapshot;
+};
+
+/// The fused loop a full run used before the filter/replay split: one
+/// MemorySystem holds both instances' TLBs, caches and the DRAM, and the
+/// instances advance op by op through MemorySystem::load/store,
+/// interleaved by start clock (ties to A). Arrays are mapped as a run maps
+/// them: A owns the graph, B shares it, each maps its private arrays.
+CellOutcome fused_run(const MultiprogConfig& config, const WorkloadInput& in,
+                      const dram::DramConfig& dram) {
+  constexpr dram::ActorId kActor[2] = {10, 11};
+  CellOutcome out;
+  obs::Scope scope;
+  {
+    sys::SystemConfig sc = config.system;
+    sc.cores = 2;
+    sc.dram = dram;
+    sys::MemorySystem system(sc);
+    sys::VirtualMemory& vmem = system.vmem();
+    const auto span_of = [&](std::uint64_t elems) {
+      return (elems * 4 + vmem.page_bytes() - 1) / vmem.page_bytes();
+    };
+    const std::uint64_t graph_elems[2] = {in.graph.nodes() + 1ull,
+                                          in.graph.edges()};
+    sys::VAddr base[2][kArrayRefCount] = {};
+    for (int i = 0; i < 2; ++i) {
+      for (int g = 0; g < 2; ++g) {
+        if (i == 0) {
+          base[0][g] = vmem.map_pages(kActor[0], span_of(graph_elems[g])).vaddr;
+        } else {
+          base[1][g] = base[0][g];
+          vmem.share(kActor[0], kActor[1],
+                     {base[0][g], span_of(graph_elems[g]) * vmem.page_bytes()});
+        }
+      }
+      for (int p = 0; p < 3; ++p) {
+        if (in.trace.private_elems[p] == 0) continue;
+        base[i][2 + p] =
+            vmem.map_pages(kActor[i], span_of(in.trace.private_elems[p])).vaddr;
+      }
+    }
+    util::Cycle clock[2] = {0, 0};
+    std::size_t next[2] = {0, 0};
+    const std::size_t n = in.trace.ops.size();
+    while (next[0] < n || next[1] < n) {
+      const int i =
+          next[1] >= n || (next[0] < n && clock[0] <= clock[1]) ? 0 : 1;
+      const TraceOp& op = in.trace.ops[next[i]++];
+      clock[i] += op.compute;
+      out.stats.instructions += 1 + op.compute;
+      const sys::VAddr addr =
+          base[i][static_cast<std::size_t>(op.array)] + op.index * 4ull;
+      if (op.write) {
+        (void)system.store(kActor[i], addr, clock[i], op.pc);
+      } else {
+        (void)system.load(kActor[i], addr, clock[i], op.pc);
+      }
+    }
+    out.stats.cycles = std::max(clock[0], clock[1]);
+    out.stats.accesses = 2 * n;
+    out.stats.llc_misses = system.hierarchy(kActor[0]).l3().stats().misses +
+                           system.hierarchy(kActor[1]).l3().stats().misses;
+    out.stats.row_hit_rate = system.controller().total_stats().hit_rate();
+    for (dram::BankId b = 0; b < system.controller().banks(); ++b) {
+      out.banks.push_back(system.controller().bank_stats(b));
+    }
+    obs::Registry& reg = scope.registry();
+    reg.counter("graph.instructions").add(out.stats.instructions);
+    reg.counter("graph.accesses").add(out.stats.accesses);
+    reg.counter("graph.llc_misses").add(out.stats.llc_misses);
+    reg.counter("graph.cycles").add(out.stats.cycles);
+    reg.gauge("graph.row_hit_rate").set(out.stats.row_hit_rate);
+    reg.gauge("graph.mpki").set(out.stats.mpki());
+  }
+  out.snapshot = scope.snapshot();
+  return out;
+}
+
+/// The same cell through the split path: replay_dram of the two filtered
+/// streams into a fresh controller built from `dram`.
+CellOutcome split_run(const WorkloadInput& input, const DramStream& a,
+                      const DramStream& b,
+                      const dram::DramConfig& dram,
+                      dram::MappingScheme mapping) {
+  CellOutcome out;
+  obs::Scope scope;
+  {
+    dram::MemoryController controller(dram, mapping);
+    out.stats = replay_dram(input, a, b, controller);
+    for (dram::BankId bank = 0; bank < controller.banks(); ++bank) {
+      out.banks.push_back(controller.bank_stats(bank));
+    }
+  }
+  out.snapshot = scope.snapshot();
+  return out;
+}
+
+void expect_same_cell(const CellOutcome& split, const CellOutcome& fused) {
+  EXPECT_EQ(split.stats, fused.stats);
+  ASSERT_EQ(split.banks.size(), fused.banks.size());
+  for (std::size_t b = 0; b < fused.banks.size(); ++b) {
+    const dram::BankStats& s = split.banks[b];
+    const dram::BankStats& f = fused.banks[b];
+    EXPECT_TRUE(s.hits == f.hits && s.empties == f.empties &&
+                s.conflicts == f.conflicts &&
+                s.activations == f.activations && s.rowclones == f.rowclones)
+        << "bank " << b;
+  }
+  EXPECT_EQ(split.snapshot.counters, fused.snapshot.counters);
+  EXPECT_EQ(split.snapshot.gauges, fused.snapshot.gauges);
+}
+
+MultiprogConfig tiny_config() {
+  MultiprogConfig config;
+  config.rmat_scale = 10;
+  config.edge_count = 1u << 13;
+  return config;
+}
+
+class FilterReplayOracle : public ::testing::TestWithParam<WorkloadKind> {};
+
+TEST_P(FilterReplayOracle, SplitMatchesFusedLoopUnderEveryPolicy) {
+  const MultiprogConfig config = tiny_config();
+  const WorkloadInput input = build_input(config, GetParam());
+  const DramStream a = filter_instance(config, input, Instance::kA);
+  const DramStream b = filter_instance(config, input, Instance::kB);
+  EXPECT_GT(a.dram_ops, 0u);
+
+  std::vector<dram::DramConfig> drams;
+  for (const dram::RowPolicy policy :
+       {dram::RowPolicy::kOpenRow, dram::RowPolicy::kClosedRow,
+        dram::RowPolicy::kConstantTime, dram::RowPolicy::kAdaptive}) {
+    dram::DramConfig d = config.system.dram;
+    d.policy = policy;
+    drams.push_back(d);
+  }
+  dram::DramConfig timeout = config.system.dram;
+  timeout.timing.timeout_mode = dram::RowTimeoutMode::kIdlePrecharge;
+  timeout.timing.row_timeout_ns = 100.0;
+  drams.push_back(timeout);
+
+  for (const dram::DramConfig& d : drams) {
+    SCOPED_TRACE(std::string(to_string(d.policy)) +
+                 (d.timing.timeout_mode == dram::RowTimeoutMode::kIdlePrecharge
+                      ? " + idle-precharge timeout"
+                      : ""));
+    const CellOutcome fused = fused_run(config, input, d);
+    expect_same_cell(split_run(input, a, b, d, config.system.mapping), fused);
+    MultiprogConfig cell = config;
+    cell.system.dram.timing = d.timing;
+    EXPECT_EQ(run_multiprogrammed(cell, input, d.policy), fused.stats);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllWorkloads, FilterReplayOracle,
+                         ::testing::ValuesIn(kExtendedWorkloads),
+                         [](const auto& info) {
+                           return std::string(to_string(info.param));
+                         });
+
+TEST(FilterReplay, ReplayRejectsAConfigThatChangesTheFilter) {
+  const MultiprogConfig config = tiny_config();
+  const WorkloadInput input = build_input(config, WorkloadKind::kBFS);
+  const DramStream a = filter_instance(config, input, Instance::kA);
+  const DramStream b = filter_instance(config, input, Instance::kB);
+  const auto policy = dram::RowPolicy::kClosedRow;
+
+  MultiprogConfig scaled = config;
+  scaled.system.cache_scale /= 2;
+  EXPECT_THROW((void)replay_dram(scaled, input, a, b, policy),
+               std::invalid_argument);
+  MultiprogConfig remapped = config;
+  remapped.system.mapping = dram::MappingScheme::kRowBankCol;
+  EXPECT_THROW((void)replay_dram(remapped, input, a, b, policy),
+               std::invalid_argument);
+  MultiprogConfig reseeded = config;
+  reseeded.system.seed += 1;
+  EXPECT_THROW((void)replay_dram(reseeded, input, a, b, policy),
+               std::invalid_argument);
+  EXPECT_THROW((void)replay_dram(config, input, b, a, policy),
+               std::invalid_argument);
+  const WorkloadInput other = build_input(config, WorkloadKind::kPR);
+  EXPECT_THROW((void)replay_dram(config, other, a, b, policy),
+               std::invalid_argument);
+
+  dram::DramConfig wider = config.system.dram;
+  wider.banks_per_rank *= 2;
+  dram::MemoryController controller(wider, config.system.mapping);
+  EXPECT_THROW((void)replay_dram(input, a, b, controller),
+               std::invalid_argument);
+
+  // Policy and timing are what a replay may change.
+  MultiprogConfig timed = config;
+  timed.system.dram.timing.row_timeout_ns = 50.0;
+  timed.system.dram.policy = dram::RowPolicy::kConstantTime;
+  EXPECT_NO_THROW((void)replay_dram(timed, input, a, b, policy));
 }
 
 }  // namespace

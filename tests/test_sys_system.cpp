@@ -216,5 +216,21 @@ TEST(SystemConfigTest, CacheScaleShrinksHierarchy) {
             (8ull << 20) / 64);
 }
 
+TEST(SystemConfigTest, CacheScaleMustBeAPowerOfTwo) {
+  // 0 used to simulate exactly like 1 (only scales > 1 divide) while
+  // fingerprinting differently; a non-power-of-two breaks the documented
+  // divisor contract. Both are rejected when the system is built.
+  for (const std::uint32_t bad : {0u, 3u, 96u, 1000u}) {
+    SystemConfig config;
+    config.cache_scale = bad;
+    EXPECT_THROW(MemorySystem{config}, std::invalid_argument) << bad;
+  }
+  for (const std::uint32_t good : {1u, 2u, 256u, 4096u}) {
+    SystemConfig config;
+    config.cache_scale = good;
+    EXPECT_NO_THROW(MemorySystem{config}) << good;
+  }
+}
+
 }  // namespace
 }  // namespace impact::sys
