@@ -114,7 +114,8 @@ class RowBufferChannelBase : public channel::CovertAttack {
   // PeiDispatcher::execute_batch) override these. The defaults fall back
   // to the scalar hooks, so every subclass stays correct unmodified. An
   // override MUST advance `clock` and produce latencies bit-identically
-  // to the equivalent scalar loop — tests/test_access_batch.cpp pins this.
+  // to the equivalent scalar loop. The PeiBatch tests pin the kernel
+  // IMPACT-PnM's overrides run on (execute_batch vs a loop of execute).
 
   /// Sender-side run: transmits bits[k] into banks[k] for k in [0, count).
   virtual void send_run(const std::uint32_t* banks, const std::uint8_t* bits,

@@ -35,8 +35,9 @@ class ImpactPnm final : public RowBufferChannelBase {
   void send_bit(std::uint32_t bank, bool bit, util::Cycle& clock) override;
   double probe(std::uint32_t bank, util::Cycle& clock) override;
 
-  // Batched kernels over PeiDispatcher::execute_batch; bit-identical to
-  // the scalar hooks (pinned by tests/test_access_batch.cpp).
+  // Batched kernels over PeiDispatcher::execute_batch, which the
+  // PeiBatch.MatchesScalarLoop tests pin bit-identical to a loop of
+  // execute with the same pre/post costs.
   void send_run(const std::uint32_t* banks, const std::uint8_t* bits,
                 std::size_t count, util::Cycle& clock) override;
   void probe_run(const std::uint32_t* banks, std::size_t count,

@@ -1,11 +1,9 @@
 #include "exec/sweep.hpp"
 
-#include <algorithm>
 #include <condition_variable>
 #include <exception>
 #include <mutex>
 #include <optional>
-#include <thread>
 
 #include "obs/registry.hpp"
 #include "obs/scope.hpp"
@@ -58,7 +56,6 @@ std::string RunReport::summary() const {
                   " tasks completed";
   s += ", " + std::to_string(failed) + " failed";
   s += ", " + std::to_string(skipped) + " skipped";
-  s += ", " + std::to_string(retries) + " retries";
   if (cache_hits + cache_misses > 0) {
     s += ", " + std::to_string(cache_hits) + " cache hits / " +
          std::to_string(cache_misses) + " misses";
@@ -93,46 +90,22 @@ Sweep::TaskId Sweep::add_cached(std::string label, std::function<void()> fn,
 
 namespace {
 
-struct Attempt {
-  bool ok = false;
-  std::size_t attempts = 0;
-  std::string message;
-};
-
-/// Runs `fn` under the retry policy. TransientError always re-tries while
-/// budget remains; other exceptions re-try only under `retry_all`.
-Attempt run_with_retries(const std::function<void()>& fn,
-                         const RetryPolicy& policy) {
-  const std::size_t budget = std::max<std::size_t>(1, policy.max_attempts);
-  auto delay = policy.backoff_base;
-  Attempt out;
-  for (std::size_t attempt = 1; attempt <= budget; ++attempt) {
-    out.attempts = attempt;
-    try {
-      fn();
-      out.ok = true;
-      return out;
-    } catch (const TransientError& e) {
-      out.message = e.what();
-    } catch (const std::exception& e) {
-      out.message = e.what();
-      if (!policy.retry_all) return out;
-    } catch (...) {
-      out.message = "non-standard exception";
-      if (!policy.retry_all) return out;
-    }
-    if (attempt < budget && delay.count() > 0) {
-      std::this_thread::sleep_for(delay);
-      delay = std::min(policy.backoff_cap, delay * 2);
-    }
+/// Runs `fn` once; returns the failure message, or nullopt on success.
+std::optional<std::string> run_cell(const std::function<void()>& fn) {
+  try {
+    fn();
+    return std::nullopt;
+  } catch (const std::exception& e) {
+    return std::string(e.what());
+  } catch (...) {
+    return std::string("non-standard exception");
   }
-  return out;
 }
 
-/// Full outcome of one cell: the attempt record plus the cache facts the
-/// retire step folds into the report under its lock.
+/// Full outcome of one cell: its failure message, if any, plus the cache
+/// facts the retire step folds into the report under its lock.
 struct CellOutcome {
-  Attempt attempt;
+  std::optional<std::string> error;  ///< Set when the cell threw.
   bool probed = false;  ///< Task had a probe hook.
   bool hit = false;     ///< Probe satisfied the cell; fn never ran.
   bool stored = false;  ///< Publish hook accepted the completed cell.
@@ -140,7 +113,7 @@ struct CellOutcome {
 
 }  // namespace
 
-RunReport Sweep::run(const RetryPolicy& policy) {
+RunReport Sweep::run() {
   RunReport report;
   report.tasks = tasks_.size();
   const std::size_t n = tasks_.size();
@@ -199,7 +172,7 @@ RunReport Sweep::run(const RetryPolicy& policy) {
         state.failed[dep] = true;
         never_ran[dep] = 1;
         ++report.skipped;
-        cell_errors[dep] = CellError{dep, tasks_[dep].label, 0,
+        cell_errors[dep] = CellError{dep, tasks_[dep].label,
                                      "skipped: dependency failed",
                                      CellError::kSkipped};
         retiring.push_back(dep);
@@ -207,31 +180,27 @@ RunReport Sweep::run(const RetryPolicy& policy) {
     }
   };
 
-  // Runs one cell through probe -> retries -> publish, under a fresh obs
-  // scope when capture is on. The scope spans every attempt, so a retried
-  // cell's snapshot accumulates the traffic of all of them, which is the
-  // honest cost. A probe hit never opens a scope — the cell does no work,
-  // so its snapshot slot must stay empty. Publish runs after the scope
-  // closes and only for successful cells.
+  // Runs one cell through probe -> run -> publish, under a fresh obs scope
+  // when capture is on. A probe hit never opens a scope — the cell does no
+  // work, so its snapshot slot must stay empty. Publish runs after the
+  // scope closes and only for successful cells.
   const auto attempt_cell = [&](TaskId id) {
     const Task& task = tasks_[id];
     CellOutcome out;
     out.probed = static_cast<bool>(task.hooks.probe);
     if (out.probed && probe_task(task.hooks)) {
       out.hit = true;
-      out.attempt.ok = true;
-      out.attempt.attempts = 1;  // Retire arithmetic: zero retries.
       never_ran[id] = 1;
       return out;
     }
     if (!capture_) {
-      out.attempt = run_with_retries(task.fn, policy);
+      out.error = run_cell(task.fn);
     } else {
       obs::Scope scope;
-      out.attempt = run_with_retries(task.fn, policy);
+      out.error = run_cell(task.fn);
       report.snapshots[id] = scope.snapshot();
     }
-    if (out.attempt.ok) {
+    if (!out.error) {
       out.stored = publish_task(
           task.hooks, capture_ ? report.snapshots[id] : obs::Snapshot{});
     }
@@ -245,21 +214,19 @@ RunReport Sweep::run(const RetryPolicy& policy) {
     std::vector<TaskId> ready;
     {
       std::lock_guard<std::mutex> lock(state.mutex);
-      report.retries += out.attempt.attempts - 1;
       if (out.hit) {
         ++report.cache_hits;
       } else if (out.probed) {
         ++report.cache_misses;
       }
       if (out.stored) ++report.cache_stored;
-      if (out.attempt.ok) {
+      if (!out.error) {
         ++report.completed;
       } else {
         state.failed[id] = true;
         ++report.failed;
-        cell_errors[id] =
-            CellError{id, tasks_[id].label, out.attempt.attempts,
-                      std::move(out.attempt.message), CellError::kFailed};
+        cell_errors[id] = CellError{id, tasks_[id].label,
+                                    std::move(*out.error), CellError::kFailed};
       }
       retire_locked(id, ready);
       // The serial walk below dispatches in id order by itself.
@@ -306,7 +273,7 @@ RunReport Sweep::run(const RetryPolicy& policy) {
   // relies on "empty slot == no fresh telemetry" to splice cached
   // snapshots back in. Enforced, not assumed. (Cells that ran and failed
   // are excluded on purpose: their snapshots hold the traffic of the
-  // failed attempts, which is real.)
+  // failed run, which is real.)
   if (capture_) {
     for (TaskId id = 0; id < n; ++id) {
       if (never_ran[id] != 0) IMPACT_ASSERT(report.snapshots[id].empty());

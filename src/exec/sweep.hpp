@@ -14,51 +14,27 @@
 // deterministically, so a parallel sweep reproduces the serial one.
 #pragma once
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <initializer_list>
-#include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "exec/arena.hpp"
 #include "exec/thread_pool.hpp"
 #include "obs/snapshot.hpp"
 
 namespace impact::exec {
 
-/// Thrown by a task to signal a failure worth retrying (an injected fault,
-/// a flaky resource). `Sweep::run` retries these up to the policy's attempt
-/// budget; any other exception type fails the cell on the first throw
-/// unless the policy opts into `retry_all`.
-class TransientError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
-
-/// Retry behaviour of `Sweep::run`. Backoff doubles per retry from
-/// `backoff_base` up to `backoff_cap`; the defaults keep tests fast while
-/// still exercising the capped-exponential schedule.
-struct RetryPolicy {
-  std::size_t max_attempts = 3;  ///< Total tries per task (minimum 1).
-  std::chrono::microseconds backoff_base{100};
-  std::chrono::microseconds backoff_cap{100000};
-  bool retry_all = false;  ///< Also retry non-TransientError exceptions.
-};
-
 /// One failing (or skipped) cell of a sweep run.
 struct CellError {
   enum Kind {
-    kFailed = 0,  ///< The cell ran and exhausted its attempts.
+    kFailed = 0,  ///< The cell ran and threw.
     kSkipped,     ///< A dependency failed upstream; never attempted.
   };
   std::size_t task = 0;
   std::string label;
-  std::size_t attempts = 0;  ///< 0 when the task was never attempted.
-  std::string message;       ///< what() of the final failure.
+  std::string message;  ///< what() of the exception the cell threw.
   Kind kind = kFailed;
 };
 
@@ -69,7 +45,6 @@ struct RunReport {
   std::size_t completed = 0;
   std::size_t failed = 0;
   std::size_t skipped = 0;
-  std::size_t retries = 0;  ///< Extra attempts beyond the first, summed.
   /// Cache accounting for tasks added via `add_cached` (all zero when the
   /// sweep has no cached tasks). A hit counts toward `completed` — the
   /// cell's result exists, it just came from the cache — and its cell
@@ -117,17 +92,7 @@ class Sweep {
   using TaskId = std::size_t;
 
   /// `pool == nullptr` runs the sweep serially in insertion order.
-  explicit Sweep(ThreadPool* pool = nullptr) : pool_(pool) {
-    // One arena per pool worker plus a fallback slot for the caller thread
-    // (serial mode, or a degenerate inline batch). Tasks always run either
-    // on a pool worker (parallel dispatch goes through submit) or on the
-    // caller, so local_arena() is race-free without locks.
-    const std::size_t slots = (pool_ != nullptr ? pool_->size() : 0) + 1;
-    arenas_.reserve(slots);
-    for (std::size_t i = 0; i < slots; ++i) {
-      arenas_.push_back(std::make_unique<Arena>());
-    }
-  }
+  explicit Sweep(ThreadPool* pool = nullptr) : pool_(pool) {}
 
   /// Adds a task; `deps` must name tasks added earlier (insertion order is
   /// therefore always a valid topological order). Returns the task's id.
@@ -143,15 +108,14 @@ class Sweep {
 
   [[nodiscard]] std::size_t size() const { return tasks_.size(); }
 
-  /// Executes the graph. Each task is retried per `policy` (capped
-  /// exponential backoff between attempts); a task that exhausts its budget
-  /// records a CellError instead of aborting the sweep, and only its
-  /// dependents are skipped — every independent cell still completes.
+  /// Executes the graph. Each task runs once; a task that throws records a
+  /// CellError instead of aborting the sweep, and only its dependents are
+  /// skipped — every independent cell still completes.
   /// Serial mode (no pool, or a 1-worker pool) runs insertion order, which
   /// is lowest-ready-id first; parallel mode starts every task whose
   /// dependencies completed. Never throws from task failures; returns the
   /// full accounting.
-  [[nodiscard]] RunReport run(const RetryPolicy& policy = {});
+  [[nodiscard]] RunReport run();
 
   /// When enabled, `run` opens a fresh obs::Scope around every cell and
   /// stores the resulting Snapshot in RunReport::snapshots[id].
@@ -160,18 +124,6 @@ class Sweep {
   /// instrumentation reads clocks, it never advances them).
   void set_capture(bool capture) { capture_ = capture; }
   [[nodiscard]] bool capture() const { return capture_; }
-
-  /// The calling thread's sweep-scope arena: a private bump allocator for
-  /// task-local objects whose lifetime is the whole sweep (inputs built by
-  /// one task and read by dependents — the dependency edges provide the
-  /// happens-before; the Sweep destructor reclaims everything). Pool
-  /// workers get their own arena each; any other thread (serial mode, the
-  /// caller) shares the fallback slot.
-  [[nodiscard]] Arena& local_arena() {
-    const std::size_t w = ThreadPool::current_worker_index();
-    if (pool_ != nullptr && w < pool_->size()) return *arenas_[w];
-    return *arenas_.back();
-  }
 
  private:
   struct Task {
@@ -183,10 +135,6 @@ class Sweep {
 
   ThreadPool* pool_;
   std::vector<Task> tasks_;
-  /// Per-worker arenas + caller fallback (see local_arena). unique_ptr
-  /// keeps Arena addresses stable; the vector itself is never resized
-  /// after construction.
-  std::vector<std::unique_ptr<Arena>> arenas_;
   bool capture_ = false;
 };
 

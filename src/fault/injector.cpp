@@ -1,7 +1,5 @@
 #include "fault/injector.hpp"
 
-#include <cstdio>
-#include <cstdlib>
 
 #include "obs/scope.hpp"
 #include "util/assert.hpp"
@@ -106,25 +104,6 @@ std::vector<FaultConfig> Injector::profile(std::string_view name) {
   util::check(false, "Injector::profile: unknown profile name (expected "
                      "off|light|heavy)");
   return {};
-}
-
-std::optional<std::vector<FaultConfig>> Injector::profile_from_env() {
-  const char* env = std::getenv("IMPACT_FAULTS");
-  if (env == nullptr || env[0] == '\0') return std::nullopt;
-  const std::string_view name(env);
-  if (name == "off" || name == "none" || name == "0") return std::nullopt;
-  if (name != "light" && name != "heavy") {
-    // Env input is operator input, not programmer input: a typo in
-    // IMPACT_FAULTS must not abort a long sweep (profile() still throws
-    // for in-code callers, where an unknown name is a bug). Warn with the
-    // accepted names and fall back to fault-free execution.
-    std::fprintf(stderr,
-                 "fault: unknown IMPACT_FAULTS profile '%s' "
-                 "(expected off|light|heavy); running with faults off\n",
-                 env);
-    return std::nullopt;
-  }
-  return profile(name);
 }
 
 }  // namespace impact::fault

@@ -20,7 +20,6 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -125,14 +124,6 @@ class Injector {
   /// dropped post), "heavy" (all six kinds at rates that force recovery
   /// machinery to work every message). Throws on an unknown name.
   [[nodiscard]] static std::vector<FaultConfig> profile(std::string_view name);
-  /// Profile named by IMPACT_FAULTS, or nullopt when unset/empty. Used by
-  /// the fault-aware tests to layer extra perturbation onto their own
-  /// scenarios (the tools/check.sh `fault` stage sets IMPACT_FAULTS=heavy).
-  /// Unlike profile(), an *unknown* name is recoverable here: operator
-  /// input must not abort a long sweep, so it warns on stderr and falls
-  /// back to faults-off (nullopt).
-  [[nodiscard]] static std::optional<std::vector<FaultConfig>>
-  profile_from_env();
 
  private:
   /// Draws every matching config of `kind`; true if any fired.

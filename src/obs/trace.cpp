@@ -5,7 +5,6 @@
 #include <fstream>
 
 #include "util/assert.hpp"
-#include "util/csv.hpp"
 
 namespace impact::obs {
 
@@ -109,19 +108,6 @@ bool TraceSession::export_chrome_json(const std::string& path) const {
   if (!out) return false;
   write_chrome_json(out);
   return static_cast<bool>(out);
-}
-
-void TraceSession::write_csv(const std::string& dir,
-                             const std::string& name) const {
-  util::CsvWriter csv(dir, name,
-                      {"cat", "name", "phase", "start", "end", "track"});
-  for (std::size_t i = 0; i < size(); ++i) {
-    const TraceEvent& ev = event(i);
-    csv.add_row({ev.cat, ev.name,
-                 ev.phase == Phase::kSpan ? "span" : "instant",
-                 std::to_string(ev.start), std::to_string(ev.end),
-                 std::to_string(ev.track)});
-  }
 }
 
 }  // namespace impact::obs

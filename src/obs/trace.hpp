@@ -1,6 +1,6 @@
 // The tracing half of the obs:: spine: a bounded ring of timestamped
 // spans and instant events, exported as Chrome `trace_event` JSON (load in
-// chrome://tracing or https://ui.perfetto.dev) or CSV via util::csv.
+// chrome://tracing or https://ui.perfetto.dev).
 //
 // Timestamps are *simulated* cycles, not host time — a trace visualizes
 // what the simulated machine did, and recording must never perturb it, so
@@ -54,8 +54,6 @@ class TraceSession {
   void write_chrome_json(std::ostream& out) const;
   /// Convenience wrapper: writes to `path`; false on I/O failure.
   bool export_chrome_json(const std::string& path) const;
-  /// Drops `<dir>/<name>.csv` (cat,name,phase,start,end,track rows).
-  void write_csv(const std::string& dir, const std::string& name) const;
 
  private:
   void push(TraceEvent&& ev);

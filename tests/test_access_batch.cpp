@@ -1,267 +1,245 @@
-// Scalar-vs-batch bit-identity pins for the SoA access-stream kernel
+// Scalar-vs-batch bit-identity pins for the PEI batch kernel
 // (docs/performance.md, "Batched access streams").
 //
-// MemoryController::access_batch() promises that every request resolves
-// bit-identically to the scalar access() issued in index order — across
-// mapping schemes, refresh-window crossings, partitioned mode, attached
-// fault injectors (whose per-kind RNG streams must draw in the scalar
-// sequence), protocol checking, and the obs:: counter totals. These tests
-// drive both paths over identical random streams and compare everything.
+// pim::PeiDispatcher::execute_batch promises that a chained run of PEIs
+// (`clock += pre_cost; <execute>; clock += post_cost` per op) leaves the
+// machine exactly where the same loop over execute() leaves it: every
+// per-op PeiResult, the final clock, each bank's BankStats, the PMU, the
+// obs counters and the trace. IMPACT-PnM's send_run/probe_run are thin
+// loops over this kernel (attacks/impact_pnm.cpp). Each test drives twin
+// MemorySystems, one per form, over the same random targets, under the
+// aborting protocol checker (IMPACT_CHECK=1, set by CTest) plus a
+// collecting checker attached here, and compares everything.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <ostream>
+#include <tuple>
 #include <vector>
 
 #include "check/protocol_checker.hpp"
-#include "dram/access_batch.hpp"
-#include "dram/controller.hpp"
-#include "fault/injector.hpp"
+#include "dram/bank.hpp"
 #include "obs/scope.hpp"
+#include "obs/trace.hpp"
+#include "pim/pei.hpp"
+#include "sys/system.hpp"
 #include "util/rng.hpp"
 
-namespace impact::dram {
+namespace impact::pim {
 namespace {
 
 constexpr std::uint64_t kSeed = 0xba7c4;
+constexpr dram::ActorId kActor = 1;
 
-/// One random request stream: addresses uniform over the module, issue
-/// cycles strictly increasing with gaps up to `max_gap` so long streams
-/// cross many refresh windows (tREFI is ~10k cycles at default timing).
-struct Stream {
-  std::vector<PhysAddr> addr;
-  std::vector<util::Cycle> issue;
+/// Per-op clock costs around each PEI.
+struct Costs {
+  util::Cycle pre = 0;
+  util::Cycle post = 0;
 };
 
-Stream random_stream(const DramConfig& config, std::size_t n,
-                     std::uint64_t seed, util::Cycle max_gap = 10000) {
-  util::Xoshiro256 rng(seed);
-  Stream s;
-  s.addr.reserve(n);
-  s.issue.reserve(n);
-  util::Cycle clock = 1000;
-  for (std::size_t i = 0; i < n; ++i) {
-    s.addr.push_back(rng.below(config.capacity_bytes()));
-    s.issue.push_back(clock);
-    clock += 1 + rng.below(max_gap);
-  }
-  return s;
+void PrintTo(const Costs& c, std::ostream* os) {
+  *os << "pre=" << c.pre << " post=" << c.post;
 }
 
-/// Replays `s` through mc.access() in index order.
-std::vector<AccessResult> run_scalar(MemoryController& mc, const Stream& s,
-                                     ActorId actor = kAnyActor) {
-  std::vector<AccessResult> out;
-  out.reserve(s.addr.size());
-  for (std::size_t i = 0; i < s.addr.size(); ++i) {
-    out.push_back(mc.access(s.addr[i], s.issue[i], actor));
+/// How one twin runs its PEIs.
+struct Plan {
+  std::size_t ops = 4096;
+  Costs costs;
+  bool traced = false;
+  /// Largest execute_batch call; chunk lengths are drawn from
+  /// [0, max_chunk], so runs of every length, empty ones included, occur.
+  std::size_t max_chunk = 64;
+};
+
+/// Everything a run leaves behind that the two forms must agree on.
+struct Outcome {
+  std::vector<sys::VAddr> targets;
+  std::vector<PeiResult> results;
+  util::Cycle clock = 0;
+  std::vector<dram::BankStats> bank_stats;
+  LocalityMonitorStats pmu;
+  obs::Snapshot snapshot;
+  std::vector<obs::TraceEvent> trace;
+  std::size_t trace_dropped = 0;
+  std::uint64_t commands_checked = 0;
+  std::size_t violations = 0;
+};
+
+/// Draws `n` PEI targets: half from 8 cache blocks of `hot`, which recur
+/// often enough for the PMU to judge them hot (host-side placement), half
+/// uniform over `wide`, mostly fresh blocks (memory-side placement) on
+/// pages that miss the TLB, so page walks reach DRAM too.
+std::vector<sys::VAddr> draw_targets(const sys::VSpan& hot,
+                                     const sys::VSpan& wide, std::size_t n) {
+  util::Xoshiro256 rng(kSeed);
+  std::vector<sys::VAddr> out;
+  out.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (rng.below(2) == 0) {
+      out.push_back(hot.vaddr + 64 * rng.below(8));
+    } else {
+      out.push_back(wide.vaddr + rng.below(wide.bytes));
+    }
   }
   return out;
 }
 
-/// Replays `s` through mc.access_batch() and expects per-index equality
-/// with `scalar` on every result field (and the decoded bank).
-void expect_batch_matches(MemoryController& mc, const Stream& s,
-                          const std::vector<AccessResult>& scalar,
-                          ActorId actor = kAnyActor) {
-  AccessBatch batch;
-  for (std::size_t i = 0; i < s.addr.size(); ++i) {
-    batch.push(s.addr[i], s.issue[i]);
-  }
-  mc.access_batch(batch, actor);
-  ASSERT_EQ(batch.size(), scalar.size());
-  for (std::size_t i = 0; i < scalar.size(); ++i) {
-    ASSERT_EQ(batch.latency[i], scalar[i].latency) << "request " << i;
-    ASSERT_EQ(batch.completion[i], scalar[i].completion) << "request " << i;
-    ASSERT_EQ(batch.ack[i], scalar[i].ack) << "request " << i;
-    ASSERT_EQ(batch.outcome[i], scalar[i].outcome) << "request " << i;
-    ASSERT_EQ(batch.bank[i], scalar[i].bank) << "request " << i;
-  }
-}
-
-void expect_stats_equal(const MemoryController& a,
-                        const MemoryController& b) {
-  const BankStats sa = a.total_stats();
-  const BankStats sb = b.total_stats();
-  EXPECT_EQ(sa.hits, sb.hits);
-  EXPECT_EQ(sa.empties, sb.empties);
-  EXPECT_EQ(sa.conflicts, sb.conflicts);
-  EXPECT_EQ(sa.activations, sb.activations);
-}
-
-class MappingSchemes : public ::testing::TestWithParam<MappingScheme> {};
-
-TEST_P(MappingSchemes, BatchMatchesScalarOverRandomStreams) {
-  const DramConfig config;
-  MemoryController scalar_mc(config, GetParam());
-  MemoryController batch_mc(config, GetParam());
-  const Stream s = random_stream(config, 4096, kSeed);
-  const auto scalar = run_scalar(scalar_mc, s);
-  expect_batch_matches(batch_mc, s, scalar);
-  expect_stats_equal(scalar_mc, batch_mc);
-}
-
-INSTANTIATE_TEST_SUITE_P(AllSchemes, MappingSchemes,
-                         ::testing::Values(MappingScheme::kBankInterleaved,
-                                           MappingScheme::kRowBankCol,
-                                           MappingScheme::kXorBankHash));
-
-TEST(AccessBatch, CrossesRefreshWindows) {
-  // Long gaps force many refresh-boundary crossings inside one batch: the
-  // cached next-refresh boundary in Bank must re-derive identically on
-  // both paths.
-  const DramConfig config;
-  MemoryController scalar_mc(config);
-  MemoryController batch_mc(config);
-  const Stream s = random_stream(config, 2048, kSeed + 1,
-                                 /*max_gap=*/200000);
-  const auto scalar = run_scalar(scalar_mc, s);
-  expect_batch_matches(batch_mc, s, scalar);
-}
-
-TEST(AccessBatch, RowPoliciesMatchScalar) {
-  for (const RowPolicy policy :
-       {RowPolicy::kOpenRow, RowPolicy::kClosedRow,
-        RowPolicy::kConstantTime}) {
-    DramConfig config;
-    config.policy = policy;
-    MemoryController scalar_mc(config);
-    MemoryController batch_mc(config);
-    const Stream s = random_stream(config, 1024, kSeed + 2);
-    const auto scalar = run_scalar(scalar_mc, s);
-    expect_batch_matches(batch_mc, s, scalar);
-  }
-}
-
-TEST(AccessBatch, PartitionedModeMatchesScalar) {
-  // Claim every bank for actor 1, address only owned banks: the batch's
-  // hoisted partition guard must admit exactly what scalar admits.
-  const DramConfig config;
-  MemoryController scalar_mc(config);
-  MemoryController batch_mc(config);
-  for (BankId b = 0; b < scalar_mc.banks(); ++b) {
-    scalar_mc.set_partition_owner(b, 1);
-    batch_mc.set_partition_owner(b, 1);
-  }
-  const Stream s = random_stream(config, 2048, kSeed + 3);
-  const auto scalar = run_scalar(scalar_mc, s, /*actor=*/1);
-  expect_batch_matches(batch_mc, s, scalar, /*actor=*/1);
-  EXPECT_EQ(scalar_mc.partition_faults(), 0u);
-  EXPECT_EQ(batch_mc.partition_faults(), 0u);
-}
-
-TEST(AccessBatch, PartitionViolationThrows) {
-  // Documented divergence: the batch validates the whole stream up front
-  // and throws before processing any request, where scalar would process
-  // the prefix first. Both reject the foreign access itself.
-  const DramConfig config;
-  MemoryController mc(config);
-  mc.set_partition_owner(0, /*owner=*/1);
-  AccessBatch batch;
-  batch.push(mc.mapping().row_base(0, 5), 1000);
-  EXPECT_THROW(mc.access_batch(batch, /*actor=*/2), std::invalid_argument);
-}
-
-TEST(AccessBatch, ProtocolCheckerCleanOnBatchedStream) {
-  // IMPACT_CHECK=1 (set by CTest) auto-attaches an aborting checker, so
-  // merely reaching the end already proves legality; the external collect
-  // checker additionally pins that every command was delivered and none
-  // violated.
-  const DramConfig config;
-  MemoryController mc(config);
-  check::ProtocolChecker collector(config.derived_timing(),
-                                   check::FailMode::kCollect);
+/// Runs `plan` on a fresh system, as one execute_batch call per random
+/// chunk (`batched`) or as the equivalent loop over execute().
+Outcome run(const Plan& plan, bool batched) {
+  Outcome out;
+  obs::TraceSession trace;
+  obs::Scope scope(plan.traced ? &trace : nullptr);
+  sys::MemorySystem system{sys::SystemConfig{}};
+  dram::MemoryController& mc = system.controller();
+  check::ProtocolChecker collector(mc.timing(), check::FailMode::kCollect);
   mc.add_observer(&collector);
-  const Stream s = random_stream(config, 4096, kSeed + 4);
-  AccessBatch batch;
-  for (std::size_t i = 0; i < s.addr.size(); ++i) {
-    batch.push(s.addr[i], s.issue[i]);
-  }
-  mc.access_batch(batch);
-  EXPECT_TRUE(collector.violations().empty());
-  EXPECT_GT(collector.commands_checked(), 0u);
-  mc.remove_observer(&collector);
-}
+  PeiDispatcher pei(PeiConfig{}, system, kActor);
+  const sys::VSpan hot = system.vmem().map_pages(kActor, 1);
+  const sys::VSpan wide = system.vmem().map_row_span(kActor, /*row=*/7);
+  out.targets = draw_targets(hot, wide, plan.ops);
+  out.results.resize(plan.ops);
 
-TEST(AccessBatch, FaultInjectorFiresIdentically) {
-  // With an injector attached the kernel falls back to index order so the
-  // per-kind RNG streams draw in the scalar sequence: same (seed, kind)
-  // configuration on both paths must fire the same faults at the same
-  // requests and leave identical counters.
-  const DramConfig config;
-  const std::vector<fault::FaultConfig> faults = {
-      {fault::FaultKind::kDramJitter, 0.05, 40, 0, ~0ull},
-      {fault::FaultKind::kRefreshStorm, 0.02, 0, 0, ~0ull},
-  };
-  MemoryController scalar_mc(config);
-  MemoryController batch_mc(config);
-  fault::Injector scalar_inj(kSeed + 5, faults);
-  fault::Injector batch_inj(kSeed + 5, faults);
-  scalar_mc.set_fault_injector(&scalar_inj);
-  batch_mc.set_fault_injector(&batch_inj);
-
-  const Stream s = random_stream(config, 4096, kSeed + 6);
-  const auto scalar = run_scalar(scalar_mc, s);
-  expect_batch_matches(batch_mc, s, scalar);
-
-  EXPECT_GT(scalar_inj.counters().total_fired(), 0u);  // Faults did fire.
-  EXPECT_EQ(scalar_inj.counters().fired, batch_inj.counters().fired);
-  EXPECT_EQ(scalar_inj.counters().opportunities,
-            batch_inj.counters().opportunities);
-}
-
-TEST(AccessBatch, ObsCounterTotalsEqualBetweenPaths) {
-  const DramConfig config;
-  const Stream s = random_stream(config, 2048, kSeed + 7);
-  obs::Snapshot scalar_snap;
-  {
-    obs::Scope scope;
-    MemoryController mc(config);
-    (void)run_scalar(mc, s);
-    scalar_snap = scope.snapshot();
-  }
-  obs::Snapshot batch_snap;
-  {
-    obs::Scope scope;
-    MemoryController mc(config);
-    AccessBatch batch;
-    for (std::size_t i = 0; i < s.addr.size(); ++i) {
-      batch.push(s.addr[i], s.issue[i]);
+  util::Cycle clock = 1000;
+  if (batched) {
+    util::Xoshiro256 chunks(kSeed + 1);
+    for (std::size_t i = 0; i < plan.ops;) {
+      const std::size_t len = std::min<std::size_t>(
+          plan.ops - i, chunks.below(plan.max_chunk + 1));
+      pei.execute_batch(out.targets.data() + i, len, clock, plan.costs.pre,
+                        plan.costs.post, out.results.data() + i);
+      i += len;
     }
-    mc.access_batch(batch);
-    batch_snap = scope.snapshot();
+  } else {
+    for (std::size_t i = 0; i < plan.ops; ++i) {
+      clock += plan.costs.pre;
+      out.results[i] = pei.execute(out.targets[i], clock);
+      clock += plan.costs.post;
+    }
   }
-  EXPECT_FALSE(scalar_snap.counters.empty());
-  EXPECT_EQ(scalar_snap.counters, batch_snap.counters);
+  out.clock = clock;
+
+  for (dram::BankId b = 0; b < mc.banks(); ++b) {
+    out.bank_stats.push_back(mc.bank_stats(b));
+    collector.reconcile_stats(b, mc.bank_stats(b));
+  }
+  system.reconcile_protocol();
+  out.pmu = pei.pmu().stats();
+  out.snapshot = scope.snapshot();
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    out.trace.push_back(trace.event(i));
+  }
+  out.trace_dropped = trace.dropped();
+  out.commands_checked = collector.commands_checked();
+  out.violations = collector.violations().size();
+  mc.remove_observer(&collector);
+  return out;
 }
 
-TEST(AccessBatch, ReuseAfterClearIsDeterministic) {
-  // clear() keeps capacity; a reused batch must produce the same answers
-  // as a fresh one fed the same stream into the same controller state.
-  const DramConfig config;
-  MemoryController mc_a(config);
-  MemoryController mc_b(config);
-  const Stream warm = random_stream(config, 512, kSeed + 8);
-  const Stream s = random_stream(config, 512, kSeed + 9);
+std::size_t host_placements(const Outcome& o) {
+  return static_cast<std::size_t>(
+      std::count_if(o.results.begin(), o.results.end(), [](const PeiResult& r) {
+        return r.placement == PeiPlacement::kHost;
+      }));
+}
 
-  AccessBatch reused;
-  for (std::size_t i = 0; i < warm.addr.size(); ++i) {
-    reused.push(warm.addr[i], warm.issue[i]);
+void expect_identical(const Outcome& scalar, const Outcome& batch) {
+  // Twin systems map alike, so both forms issue the same targets.
+  ASSERT_EQ(scalar.targets, batch.targets);
+  ASSERT_EQ(scalar.results.size(), batch.results.size());
+  for (std::size_t i = 0; i < scalar.results.size(); ++i) {
+    const PeiResult& s = scalar.results[i];
+    const PeiResult& b = batch.results[i];
+    ASSERT_EQ(s.latency, b.latency) << "op " << i;
+    ASSERT_EQ(s.placement, b.placement) << "op " << i;
+    ASSERT_EQ(s.outcome, b.outcome) << "op " << i;
+    ASSERT_EQ(s.bank, b.bank) << "op " << i;
   }
-  mc_a.access_batch(reused);
-  reused.clear();
-  for (std::size_t i = 0; i < s.addr.size(); ++i) {
-    reused.push(s.addr[i], s.issue[i]);
-  }
-  mc_a.access_batch(reused);
+  EXPECT_EQ(scalar.clock, batch.clock);
 
-  (void)run_scalar(mc_b, warm);
-  const auto scalar = run_scalar(mc_b, s);
-  ASSERT_EQ(reused.size(), scalar.size());
-  for (std::size_t i = 0; i < scalar.size(); ++i) {
-    ASSERT_EQ(reused.latency[i], scalar[i].latency) << "request " << i;
-    ASSERT_EQ(reused.outcome[i], scalar[i].outcome) << "request " << i;
+  ASSERT_EQ(scalar.bank_stats.size(), batch.bank_stats.size());
+  for (std::size_t b = 0; b < scalar.bank_stats.size(); ++b) {
+    const dram::BankStats& s = scalar.bank_stats[b];
+    const dram::BankStats& t = batch.bank_stats[b];
+    EXPECT_EQ(s.hits, t.hits) << "bank " << b;
+    EXPECT_EQ(s.empties, t.empties) << "bank " << b;
+    EXPECT_EQ(s.conflicts, t.conflicts) << "bank " << b;
+    EXPECT_EQ(s.activations, t.activations) << "bank " << b;
+    EXPECT_EQ(s.rowclones, t.rowclones) << "bank " << b;
   }
+
+  EXPECT_EQ(scalar.pmu.lookups, batch.pmu.lookups);
+  EXPECT_EQ(scalar.pmu.allocations, batch.pmu.allocations);
+  EXPECT_EQ(scalar.pmu.ignored_first_hits, batch.pmu.ignored_first_hits);
+  EXPECT_EQ(scalar.pmu.host_decisions, batch.pmu.host_decisions);
+  EXPECT_EQ(scalar.pmu.memory_decisions, batch.pmu.memory_decisions);
+
+  EXPECT_EQ(scalar.snapshot.counters, batch.snapshot.counters);
+
+  EXPECT_EQ(scalar.trace_dropped, batch.trace_dropped);
+  ASSERT_EQ(scalar.trace.size(), batch.trace.size());
+  for (std::size_t i = 0; i < scalar.trace.size(); ++i) {
+    const obs::TraceEvent& s = scalar.trace[i];
+    const obs::TraceEvent& b = batch.trace[i];
+    ASSERT_EQ(s.cat, b.cat) << "event " << i;
+    ASSERT_EQ(s.name, b.name) << "event " << i;
+    ASSERT_EQ(s.start, b.start) << "event " << i;
+    ASSERT_EQ(s.end, b.end) << "event " << i;
+    ASSERT_EQ(s.track, b.track) << "event " << i;
+    ASSERT_EQ(s.phase, b.phase) << "event " << i;
+  }
+
+  EXPECT_EQ(scalar.commands_checked, batch.commands_checked);
+  EXPECT_EQ(scalar.violations, 0u);
+  EXPECT_EQ(batch.violations, 0u);
+}
+
+/// (traced, per-op costs): none, the probe_run timer bracket
+/// (cpuid + rdtscp before, rdtscp after, at TimerConfig defaults), and an
+/// asymmetric pair.
+class PeiBatch
+    : public ::testing::TestWithParam<std::tuple<bool, Costs>> {};
+
+TEST_P(PeiBatch, MatchesScalarLoop) {
+  Plan plan;
+  plan.traced = std::get<0>(GetParam());
+  plan.costs = std::get<1>(GetParam());
+  const Outcome scalar = run(plan, /*batched=*/false);
+  const Outcome batch = run(plan, /*batched=*/true);
+
+  // The stream must reach both placements, or half the kernel is untested.
+  const std::size_t host = host_placements(scalar);
+  EXPECT_GT(host, 0u);
+  EXPECT_LT(host, scalar.results.size());
+  EXPECT_EQ(scalar.snapshot.counters.at("pim.pei.ops"), plan.ops);
+  EXPECT_EQ(scalar.snapshot.counters.at("pim.pei.host_side"), host);
+  EXPECT_GT(scalar.commands_checked, 0u);
+  if (plan.traced) {
+    EXPECT_FALSE(scalar.trace.empty());
+  } else {
+    EXPECT_TRUE(scalar.trace.empty());
+  }
+  expect_identical(scalar, batch);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TracedAndCosts, PeiBatch,
+    ::testing::Combine(::testing::Bool(),
+                       ::testing::Values(Costs{0, 0}, Costs{28 + 24, 24},
+                                         Costs{3, 0})));
+
+TEST(PeiBatchRun, WholeStreamInFewCallsMatchesScalarLoop) {
+  // Chunks up to the full stream: the kernel's counter update then
+  // covers thousands of ops in one go.
+  Plan plan;
+  plan.ops = 2048;
+  plan.max_chunk = plan.ops;
+  plan.traced = true;
+  plan.costs = Costs{5, 11};
+  expect_identical(run(plan, /*batched=*/false), run(plan, /*batched=*/true));
 }
 
 }  // namespace
-}  // namespace impact::dram
+}  // namespace impact::pim

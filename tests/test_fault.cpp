@@ -6,8 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -89,20 +87,11 @@ TEST(FaultInjector, ActivationWindowGatesFiring) {
             4u);
 }
 
-TEST(FaultInjector, ProfilesAndEnv) {
+TEST(FaultInjector, Profiles) {
   EXPECT_TRUE(Injector::profile("off").empty());
   EXPECT_FALSE(Injector::profile("light").empty());
   EXPECT_EQ(Injector::profile("heavy").size(), fault::kFaultKinds);
   EXPECT_THROW(Injector::profile("bogus"), std::invalid_argument);
-
-  ::setenv("IMPACT_FAULTS", "light", 1);
-  auto env = Injector::profile_from_env();
-  ASSERT_TRUE(env.has_value());
-  EXPECT_EQ(env->size(), Injector::profile("light").size());
-  ::setenv("IMPACT_FAULTS", "off", 1);
-  EXPECT_FALSE(Injector::profile_from_env().has_value());
-  ::unsetenv("IMPACT_FAULTS");
-  EXPECT_FALSE(Injector::profile_from_env().has_value());
 }
 
 // --- Bounded semaphore waits (satellite: no more hard-abort) -------------
@@ -327,67 +316,51 @@ TEST(FaultSweep, BitIdenticalAcrossPoolSizes) {
   }
 }
 
-// --- IMPACT_FAULTS env layering -------------------------------------------
+// --- Named profiles layered onto a scenario ---------------------------------
 
-TEST(FaultProfileEnv, TransferRecoversWithAmbientProfileLayeredIn) {
-  // Base scenario: a 20% post-drop rate. When tools/check.sh runs the
-  // suite with IMPACT_FAULTS=heavy, the heavy profile is layered on top —
-  // the framed protocol must recover either way.
-  auto faults = one_fault(FaultKind::kSemaphoreDrop, 0.2);
-  if (const auto env = Injector::profile_from_env()) {
-    faults.insert(faults.end(), env->begin(), env->end());
+TEST(FaultProfile, TransferRecoversWithEachProfileLayeredIn) {
+  // Base scenario: a 20% post-drop rate, with each named profile layered
+  // on top — the framed protocol must recover under every one of them.
+  for (const char* name : {"off", "light", "heavy"}) {
+    SCOPED_TRACE(name);
+    auto faults = one_fault(FaultKind::kSemaphoreDrop, 0.2);
+    const auto profile = Injector::profile(name);
+    faults.insert(faults.end(), profile.begin(), profile.end());
+    sys::MemorySystem system{sys::SystemConfig{}};
+    attacks::ImpactPnm attack(system);
+    (void)attack.transmit(util::BitVec::alternating(16));  // Calibrate clean.
+    Injector inj(2718, faults);
+    system.set_fault_injector(&inj);
+
+    channel::ProtocolConfig config;
+    config.payload_bits = 8;
+    config.max_retries = 16;
+    channel::FramedProtocol protocol(attack, config);
+    util::Xoshiro256 rng(37);
+    const auto msg = util::BitVec::random(48, rng);
+    const auto r = protocol.send(msg);
+    system.set_fault_injector(nullptr);
+
+    EXPECT_TRUE(r.complete);
+    EXPECT_EQ(r.residual_errors, 0u);
+    EXPECT_GT(inj.counters().total_fired(), 0u);
   }
-  sys::MemorySystem system{sys::SystemConfig{}};
-  attacks::ImpactPnm attack(system);
-  (void)attack.transmit(util::BitVec::alternating(16));  // Calibrate clean.
-  Injector inj(2718, faults);
-  system.set_fault_injector(&inj);
-
-  channel::ProtocolConfig config;
-  config.payload_bits = 8;
-  config.max_retries = 16;
-  channel::FramedProtocol protocol(attack, config);
-  util::Xoshiro256 rng(37);
-  const auto msg = util::BitVec::random(48, rng);
-  const auto r = protocol.send(msg);
-  system.set_fault_injector(nullptr);
-
-  EXPECT_TRUE(r.complete);
-  EXPECT_EQ(r.residual_errors, 0u);
-  EXPECT_GT(inj.counters().total_fired(), 0u);
 }
 
 // --- Fault-tolerant sweep execution ---------------------------------------
 
-TEST(ResilientSweep, TransientFailuresAreRetriedToSuccess) {
-  exec::Sweep sweep(nullptr);
-  int attempts = 0;
-  sweep.add("flaky", [&attempts] {
-    if (++attempts < 3) throw exec::TransientError("injected hiccup");
-  });
-  exec::RetryPolicy policy;
-  policy.max_attempts = 4;
-  policy.backoff_base = std::chrono::microseconds{1};
-  const auto report = sweep.run(policy);
-  EXPECT_TRUE(report.ok());
-  EXPECT_EQ(report.completed, 1u);
-  EXPECT_EQ(report.retries, 2u);
-  EXPECT_EQ(attempts, 3);
-}
-
 TEST(ResilientSweep, PermanentFailureIsIsolated) {
   exec::Sweep sweep(nullptr);
   std::vector<int> done;
+  int broken_runs = 0;
   sweep.add("ok0", [&done] { done.push_back(0); });
-  const auto broken = sweep.add("broken", [] {
-    throw exec::TransientError("cell permanently down");
+  const auto broken = sweep.add("broken", [&broken_runs] {
+    ++broken_runs;
+    throw std::runtime_error("cell permanently down");
   });
   sweep.add("dependent", [&done] { done.push_back(2); }, {broken});
   sweep.add("ok3", [&done] { done.push_back(3); });
-  exec::RetryPolicy policy;
-  policy.max_attempts = 2;
-  policy.backoff_base = std::chrono::microseconds{1};
-  const auto report = sweep.run(policy);
+  const auto report = sweep.run();
 
   EXPECT_FALSE(report.ok());
   EXPECT_EQ(report.tasks, 4u);
@@ -395,72 +368,61 @@ TEST(ResilientSweep, PermanentFailureIsIsolated) {
   EXPECT_EQ(report.failed, 1u);
   EXPECT_EQ(report.skipped, 1u);
   EXPECT_EQ(done, (std::vector<int>{0, 3}));
+  EXPECT_EQ(broken_runs, 1);  // Run once, never re-run.
 
   ASSERT_EQ(report.errors.size(), 2u);
   EXPECT_EQ(report.errors[0].task, broken);
   EXPECT_EQ(report.errors[0].label, "broken");
-  EXPECT_EQ(report.errors[0].attempts, 2u);
   EXPECT_EQ(report.errors[0].kind, exec::CellError::kFailed);
   EXPECT_EQ(report.errors[0].message, "cell permanently down");
   EXPECT_EQ(report.errors[1].kind, exec::CellError::kSkipped);
   EXPECT_EQ(report.errors[1].label, "dependent");
-  EXPECT_EQ(report.errors[1].attempts, 0u);
   EXPECT_NE(report.summary().find("2/4"), std::string::npos);
 }
 
-TEST(ResilientSweep, NonTransientErrorsFailFastByDefault) {
+TEST(ResilientSweep, AnyExceptionFailsTheCellOnce) {
   exec::Sweep sweep(nullptr);
-  int attempts = 0;
-  sweep.add("hard", [&attempts] {
-    ++attempts;
+  int runs = 0;
+  sweep.add("hard", [&runs] {
+    ++runs;
     throw std::logic_error("programming error");
   });
-  exec::RetryPolicy policy;
-  policy.max_attempts = 5;
-  policy.backoff_base = std::chrono::microseconds{1};
-  const auto report = sweep.run(policy);
+  const auto report = sweep.run();
   EXPECT_EQ(report.failed, 1u);
-  EXPECT_EQ(attempts, 1);  // No retry budget burned on a permanent bug.
-
-  exec::Sweep retry_all_sweep(nullptr);
-  int all_attempts = 0;
-  retry_all_sweep.add("hard", [&all_attempts] {
-    ++all_attempts;
-    throw std::logic_error("still broken");
-  });
-  policy.retry_all = true;
-  (void)retry_all_sweep.run(policy);
-  EXPECT_EQ(all_attempts, 5);
+  EXPECT_EQ(runs, 1);
 }
 
 TEST(ResilientSweep, ParallelIsolationMatchesSerial) {
-  auto build = [](exec::Sweep& sweep, std::vector<std::atomic<int>>& runs) {
-    const auto broken = sweep.add(
-        "broken", [] { throw exec::TransientError("down"); });
+  auto build = [](exec::Sweep& sweep, std::vector<std::atomic<int>>& runs,
+                  std::atomic<int>& broken_runs) {
+    const auto broken = sweep.add("broken", [&broken_runs] {
+      ++broken_runs;
+      throw std::runtime_error("down");
+    });
     for (int i = 0; i < 6; ++i) {
       sweep.add("ok" + std::to_string(i),
                 [&runs, i] { ++runs[static_cast<std::size_t>(i)]; });
     }
     sweep.add("child-of-broken", [] {}, {broken});
   };
-  exec::RetryPolicy policy;
-  policy.max_attempts = 2;
-  policy.backoff_base = std::chrono::microseconds{1};
 
   for (const std::size_t threads :
        {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
     exec::ThreadPool pool(threads);
     exec::Sweep sweep(&pool);
     std::vector<std::atomic<int>> runs(6);
-    build(sweep, runs);
-    const auto report = sweep.run(policy);
+    std::atomic<int> broken_runs{0};
+    build(sweep, runs, broken_runs);
+    const auto report = sweep.run();
     EXPECT_EQ(report.completed, 6u) << threads << " threads";
     EXPECT_EQ(report.failed, 1u);
     EXPECT_EQ(report.skipped, 1u);
-    EXPECT_EQ(report.retries, 1u);
+    EXPECT_EQ(broken_runs.load(), 1) << threads << " threads";
     ASSERT_EQ(report.errors.size(), 2u);
     EXPECT_EQ(report.errors[0].label, "broken");
+    EXPECT_EQ(report.errors[0].kind, exec::CellError::kFailed);
     EXPECT_EQ(report.errors[1].label, "child-of-broken");
+    EXPECT_EQ(report.errors[1].kind, exec::CellError::kSkipped);
     for (auto& r : runs) EXPECT_EQ(r.load(), 1);
   }
 }

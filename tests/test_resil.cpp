@@ -1,7 +1,6 @@
 // Crash tolerance: kill-torture (SIGKILL a child mid-sweep, re-run it over
 // the same on-disk ResultCache, pin bit-identity against an uninterrupted
-// reference — serial and pools {2,8}), durable store writes, and the
-// recoverable-env fixes.
+// reference — serial and pools {2,8}) and durable store writes.
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -14,14 +13,12 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "exec/thread_pool.hpp"
-#include "fault/injector.hpp"
 #include "store/cell_runner.hpp"
 
 namespace impact {
@@ -196,52 +193,6 @@ TEST(ResilKillTorture, ResumedRunReproducesUninterruptedRun) {
     fs::remove_all(ref_base);
     fs::remove_all(base);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Recoverable operator input.
-// ---------------------------------------------------------------------------
-
-/// RAII guard: sets/unsets an env var, restores the previous value.
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) saved_ = old;
-    if (value == nullptr) {
-      ::unsetenv(name);
-    } else {
-      ::setenv(name, value, 1);
-    }
-  }
-  ~EnvGuard() {
-    if (saved_.has_value()) {
-      ::setenv(name_, saved_->c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::optional<std::string> saved_;
-};
-
-TEST(ResilEnv, UnknownFaultProfileWarnsAndFallsBackToOff) {
-  // A typo in IMPACT_FAULTS must not abort a long sweep: warn on stderr
-  // (not asserted here) and run fault-free.
-  EnvGuard guard("IMPACT_FAULTS", "bogus-profile");
-  EXPECT_FALSE(fault::Injector::profile_from_env().has_value());
-}
-
-TEST(ResilEnv, KnownFaultProfilesStillResolve) {
-  {
-    EnvGuard guard("IMPACT_FAULTS", "heavy");
-    const auto profile = fault::Injector::profile_from_env();
-    ASSERT_TRUE(profile.has_value());
-    EXPECT_EQ(profile->size(), 6u);
-  }
-  EnvGuard guard("IMPACT_FAULTS", "off");
-  EXPECT_FALSE(fault::Injector::profile_from_env().has_value());
 }
 
 // ---------------------------------------------------------------------------
