@@ -23,6 +23,8 @@ struct Window {
 ReadMappingSpy::ReadMappingSpy(SideChannelConfig config)
     : config_(config), rng_(config.seed) {
   util::check(config_.banks >= 16, "SideChannelConfig: needs >= 16 banks");
+  // run() replays the victim's trace, which an empty workload leaves empty.
+  util::check(config_.reads > 0, "SideChannelConfig: needs >= 1 read");
 
   system_config_.dram.channels = 1;
   system_config_.dram.ranks = 1;
@@ -31,15 +33,18 @@ ReadMappingSpy::ReadMappingSpy(SideChannelConfig config)
   system_config_.dram.subarray_rows =
       std::min(system_config_.dram.subarray_rows, config_.rows_per_bank);
   system_config_.seed = config_.seed;
-  system_ = std::make_unique<sys::MemorySystem>(system_config_);
 
-  // Build the shared reference + bank-striped seed table.
-  util::Xoshiro256 genome_rng(config_.seed ^ 0x9E3779B97F4A7C15ull);
-  reference_ = std::make_unique<genomics::Genome>(
-      genomics::Genome::synthesize(config_.genome_length, genome_rng));
+  // The seed-table constructor validates its geometry and minimizer config;
+  // it runs before the (up to 8192-bank) memory system is built.
   config_.table.row_bytes = system_config_.dram.row_bytes;
   table_ = std::make_unique<genomics::SeedTable>(config_.table,
                                                  config_.banks);
+  system_ = std::make_unique<sys::MemorySystem>(system_config_);
+
+  // Build the shared reference and index it into the bank-striped table.
+  util::Xoshiro256 genome_rng(config_.seed ^ 0x9E3779B97F4A7C15ull);
+  reference_ = std::make_unique<genomics::Genome>(
+      genomics::Genome::synthesize(config_.genome_length, genome_rng));
   table_->build(*reference_);
 
   victim_pei_ =
@@ -149,6 +154,10 @@ SideChannelResult ReadMappingSpy::run() {
                        static_cast<std::int64_t>(read.true_position);
     if (m.mapped && std::llabs(delta) <= 5) ++mapped_ok;
   }
+  // Reads shorter than one k-mer seed nothing, and the replay below needs
+  // at least one touch.
+  util::check(!victim_trace_.empty(),
+              "ReadMappingSpy: the victim's reads touch no memory");
   result.victim_accuracy =
       static_cast<double>(mapped_ok) / static_cast<double>(reads.size());
 

@@ -1,7 +1,5 @@
 #include "genomics/kmer.hpp"
 
-#include <deque>
-
 #include "util/assert.hpp"
 
 namespace impact::genomics {
@@ -43,31 +41,61 @@ Kmer canonical_kmer(Kmer kmer, std::uint32_t k) {
   return kmer < rc ? kmer : rc;
 }
 
+void MinimizerConfig::validate() const {
+  util::check(k >= 1 && k <= 31, "MinimizerConfig: k must be in [1,31]");
+  util::check(w >= 1, "MinimizerConfig: w must be >= 1");
+}
+
 std::vector<Minimizer> extract_minimizers(const std::vector<Base>& seq,
                                           const MinimizerConfig& config) {
+  config.validate();
   const std::uint32_t k = config.k;
   const std::uint32_t w = config.w;
-  util::check(w >= 1, "extract_minimizers: w must be >= 1");
   std::vector<Minimizer> out;
   if (seq.size() < k) return out;
   const std::size_t n_kmers = seq.size() - k + 1;
+  // A random sequence selects about 2/(w+1) of its k-mers.
+  out.reserve(2 * n_kmers / (w + 1) + 1);
 
-  // Monotone deque of (hash, position) for the sliding window minimum.
-  std::deque<Minimizer> window;
-  Kmer rolling = 0;
-  const Kmer mask = (k == 31) ? ~0ull >> 2 : ((1ull << (2 * k)) - 1);
+  // One pass: the forward and reverse-complement k-mers roll one base at a
+  // time (the new base's complement enters rev at the top), and the window
+  // minimum is kept over a ring of the last w hashes, rescanned only when
+  // the minimum itself slides out. The smallest hash wins; among equal
+  // hashes the latest position wins.
+  const Kmer mask = (1ull << (2 * k)) - 1;
+  const unsigned top = 2 * (k - 1);
+  Kmer fwd = 0;
+  Kmer rev = 0;
   for (std::size_t i = 0; i < k - 1; ++i) {
-    rolling = ((rolling << 2) | seq[i]) & mask;
+    fwd = ((fwd << 2) | seq[i]) & mask;
+    rev = (rev >> 2) | ((3ull - seq[i]) << top);
   }
+  std::vector<std::uint64_t> ring(w);  // Position i's hash is ring[slot].
+  std::size_t slot = 0;
+  Minimizer best{~0ull, 0};
   for (std::size_t i = 0; i < n_kmers; ++i) {
-    rolling = ((rolling << 2) | seq[i + k - 1]) & mask;
-    const std::uint64_t h = hash64(canonical_kmer(rolling, k));
-    while (!window.empty() && window.back().hash >= h) window.pop_back();
-    window.push_back({h, static_cast<std::uint32_t>(i)});
-    if (window.front().position + w <= i) window.pop_front();
-    if (i + 1 >= w) {
-      const Minimizer& m = window.front();
-      if (out.empty() || !(out.back() == m)) out.push_back(m);
+    const Base c = seq[i + k - 1];
+    fwd = ((fwd << 2) | c) & mask;
+    rev = (rev >> 2) | ((3ull - c) << top);
+    const std::uint64_t h = hash64(fwd < rev ? fwd : rev);
+    ring[slot] = h;
+    if (h <= best.hash) {
+      best = {h, static_cast<std::uint32_t>(i)};
+    } else if (best.position + w <= i) {
+      // The minimum left the window: rescan positions i-w+1 .. i, oldest
+      // first, which sit in the slots after `slot`, wrapping round.
+      best = {~0ull, 0};
+      std::size_t s = slot;
+      for (std::size_t j = i + 1 - w; j <= i; ++j) {
+        s = s + 1 == w ? 0 : s + 1;
+        if (ring[s] <= best.hash) {
+          best = {ring[s], static_cast<std::uint32_t>(j)};
+        }
+      }
+    }
+    slot = slot + 1 == w ? 0 : slot + 1;
+    if (i + 1 >= w && (out.empty() || !(out.back() == best))) {
+      out.push_back(best);
     }
   }
   return out;

@@ -36,11 +36,16 @@ struct Minimizer {
 struct MinimizerConfig {
   std::uint32_t k = 15;  ///< Seed length.
   std::uint32_t w = 10;  ///< Window: one minimizer per w consecutive k-mers.
+
+  /// Throws std::invalid_argument unless k is in [1,31] (a k-mer packs into
+  /// 62 bits) and w >= 1.
+  void validate() const;
 };
 
 /// Extracts the (w,k)-minimizers of `seq`: for every window of w k-mers the
 /// one with the smallest hash64(canonical) value is selected (deduplicated
-/// across overlapping windows).
+/// across overlapping windows). Among equal hashes the latest position wins.
+/// Throws std::invalid_argument on an invalid config (see validate()).
 [[nodiscard]] std::vector<Minimizer> extract_minimizers(
     const std::vector<Base>& seq, const MinimizerConfig& config);
 

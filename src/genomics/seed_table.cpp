@@ -7,6 +7,7 @@ namespace impact::genomics {
 SeedTable::SeedTable(SeedTableConfig config, std::uint32_t banks)
     : config_(config), banks_(banks) {
   util::check(banks_ > 0, "SeedTable: needs at least one bank");
+  config_.minimizer.validate();
   util::check(config_.buckets % banks_ == 0,
               "SeedTable: buckets must be divisible by the bank count");
   util::check(entries_per_bank() * config_.entry_bytes <= config_.row_bytes,

@@ -42,7 +42,8 @@ class SeedTable {
  public:
   /// `banks` is the DRAM bank count of the PiM device the table is striped
   /// over; buckets must fit the per-bank row (buckets/banks * entry_bytes
-  /// <= row_bytes).
+  /// <= row_bytes) and the minimizer config must validate(); otherwise
+  /// throws std::invalid_argument.
   SeedTable(SeedTableConfig config, std::uint32_t banks);
 
   /// Indexes the reference: every reference minimizer lands in its bucket.

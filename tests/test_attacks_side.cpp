@@ -81,5 +81,32 @@ TEST(SideChannelTest, RejectsTinyDevices) {
   EXPECT_THROW(ReadMappingSpy{config}, std::invalid_argument);
 }
 
+TEST(SideChannelTest, RejectsAnEmptyWorkload) {
+  auto config = small_config(1024);
+  config.reads = 0;
+  EXPECT_THROW(ReadMappingSpy{config}, std::invalid_argument);
+}
+
+TEST(SideChannelTest, RejectsABadSeedTableConfig) {
+  auto config = small_config(8192);
+  config.table.buckets = 12288;  // Not a multiple of 8192 banks.
+  EXPECT_THROW(ReadMappingSpy{config}, std::invalid_argument);
+  config = small_config(1024);
+  config.table.entry_bytes = 1024;  // 16 entries x 1 KiB overflow the row.
+  EXPECT_THROW(ReadMappingSpy{config}, std::invalid_argument);
+  for (const std::uint32_t k : {0u, 32u}) {
+    config = small_config(1024);
+    config.table.minimizer.k = k;
+    EXPECT_THROW(ReadMappingSpy{config}, std::invalid_argument) << k;
+  }
+}
+
+TEST(SideChannelTest, ReadsShorterThanASeedEndInACleanError) {
+  auto config = small_config(1024);
+  config.readsim.read_length = config.table.minimizer.k - 1;
+  ReadMappingSpy spy(config);
+  EXPECT_THROW((void)spy.run(), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace impact::attacks

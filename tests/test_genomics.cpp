@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 
 #include "genomics/align.hpp"
 #include "genomics/chain.hpp"
@@ -151,6 +152,91 @@ TEST(MinimizerTest, DensityNearTwoOverW) {
 TEST(MinimizerTest, ShortSequenceYieldsNothing) {
   const auto g = Genome::from_string("ACGT");
   EXPECT_TRUE(extract_minimizers(g.bases(), MinimizerConfig{15, 10}).empty());
+}
+
+TEST(MinimizerTest, RejectsKOutsideOneToThirtyOne) {
+  const auto seq = Genome::from_string("ACGTACGTACGTACGTACGTACGTACGTACGTACGT")
+                       .bases();
+  EXPECT_THROW((void)extract_minimizers(seq, MinimizerConfig{0, 10}),
+               std::invalid_argument);
+  EXPECT_THROW((void)extract_minimizers(seq, MinimizerConfig{32, 10}),
+               std::invalid_argument);
+  EXPECT_THROW((void)extract_minimizers(seq, MinimizerConfig{15, 0}),
+               std::invalid_argument);
+  // A sequence too short to hold one k-mer is still checked.
+  EXPECT_THROW((void)extract_minimizers({}, MinimizerConfig{0, 10}),
+               std::invalid_argument);
+  EXPECT_NO_THROW((void)extract_minimizers(seq, MinimizerConfig{31, 1}));
+  EXPECT_NO_THROW((void)extract_minimizers(seq, MinimizerConfig{1, 1}));
+}
+
+// Independent oracle for extract_minimizers: every window is scored from
+// scratch with pack_kmer -> canonical_kmer -> hash64 (no rolling k-mers, no
+// window state). The smallest hash wins, the latest position among equal
+// hashes, and a window repeating the previous window's pick adds nothing.
+std::vector<Minimizer> naive_minimizers(const std::vector<Base>& seq,
+                                        std::uint32_t k, std::uint32_t w) {
+  std::vector<Minimizer> out;
+  if (seq.size() < k) return out;
+  const std::size_t n_kmers = seq.size() - k + 1;
+  for (std::size_t start = 0; start + w <= n_kmers; ++start) {
+    Minimizer pick{};
+    for (std::size_t pos = start; pos < start + w; ++pos) {
+      const std::uint64_t h =
+          hash64(canonical_kmer(pack_kmer(seq, pos, k), k));
+      if (pos == start || h <= pick.hash) {
+        pick = Minimizer{h, static_cast<std::uint32_t>(pos)};
+      }
+    }
+    if (out.empty() || !(out.back() == pick)) out.push_back(pick);
+  }
+  return out;
+}
+
+TEST(MinimizerOracle, MatchesNaiveWindowScan) {
+  std::size_t compared = 0;
+  std::uint64_t seed = 900;
+  for (const double repeats : {0.0, 0.5, 0.9}) {
+    util::Xoshiro256 rng(++seed);
+    const auto genome = Genome::synthesize(3000, rng, repeats);
+    for (const std::uint32_t k : {1u, 2u, 5u, 15u, 31u}) {
+      for (const std::uint32_t w : {1u, 2u, 10u, 40u}) {
+        for (const std::size_t len :
+             {std::size_t{k} - 1, std::size_t{k}, std::size_t{k} + w - 1,
+              std::size_t{k} + w, genome.size()}) {
+          const std::vector<Base> seq(
+              genome.bases().begin(),
+              genome.bases().begin() + static_cast<std::ptrdiff_t>(len));
+          const auto got = extract_minimizers(seq, MinimizerConfig{k, w});
+          ASSERT_EQ(got, naive_minimizers(seq, k, w))
+              << "repeats=" << repeats << " k=" << k << " w=" << w
+              << " len=" << len;
+          compared += got.size();
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 10000u);
+}
+
+TEST(MinimizerOracle, EqualHashesPickTheLatestPosition) {
+  // Every k-mer of a homopolymer is the same, so every hash ties: each
+  // window picks its last k-mer and every window after the first moves on.
+  const auto seq = Genome::from_string(std::string(40, 'A')).bases();
+  const auto got = extract_minimizers(seq, MinimizerConfig{5, 4});
+  ASSERT_EQ(got, naive_minimizers(seq, 5, 4));
+  ASSERT_EQ(got.size(), 40u - 5u + 1u - 4u + 1u);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].position, i + 3);
+  }
+}
+
+TEST(SeedTableTest, RejectsKOutsideOneToThirtyOne) {
+  for (const std::uint32_t k : {0u, 32u}) {
+    SeedTableConfig config;
+    config.minimizer.k = k;
+    EXPECT_THROW(SeedTable(config, 1024), std::invalid_argument) << k;
+  }
 }
 
 TEST(SeedTableTest, GeometryMatchesPaper) {

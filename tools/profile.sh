@@ -9,8 +9,9 @@
 # build tree (the flags go in through CMAKE_CXX_FLAGS and the linker flags,
 # not through a project option), runs the spec on one thread, and folds
 # gprof's flat profile into a table of self time per simulator layer:
-# cache / sys / dram / graph / exec / obs / other (the first `impact::<ns>`
-# of each symbol; std::, util and the rest count as other).
+# cache / sys / dram / graph / exec / obs / genomics / attacks / pim /
+# channel / store / other (the first `impact::<ns>` of each symbol; std::,
+# util and the rest count as other).
 #
 # One thread because gprof samples only the main thread: with
 # IMPACT_THREADS=1 the sweep engine runs every cell on the caller.
@@ -43,7 +44,8 @@ import re
 import sys
 
 spec, path = sys.argv[1], sys.argv[2]
-layers = ["cache", "sys", "dram", "graph", "exec", "obs"]
+layers = ["cache", "sys", "dram", "graph", "exec", "obs", "genomics",
+          "attacks", "pim", "channel", "store"]
 total = {name: 0.0 for name in layers + ["other"]}
 rows = []
 # Flat-profile rows: %time, cumulative s, self s, [calls, self/call,
@@ -63,12 +65,12 @@ for line in open(path):
 
 grand = sum(total.values()) or 1.0
 print(f"impact run {spec}: gprof self time by layer (1 thread)")
-print(f"{'layer':<8}{'self s':>10}{'share':>9}")
+print(f"{'layer':<10}{'self s':>10}{'share':>9}")
 for name in layers + ["other"]:
-    print(f"{name:<8}{total[name]:>10.2f}{100 * total[name] / grand:>8.1f}%")
-print(f"{'total':<8}{grand:>10.2f}")
+    print(f"{name:<10}{total[name]:>10.2f}{100 * total[name] / grand:>8.1f}%")
+print(f"{'total':<10}{grand:>10.2f}")
 print()
 print("hottest symbols:")
 for self_s, layer, name in sorted(rows, reverse=True)[:15]:
-    print(f"  {self_s:>7.2f} s  {layer:<6} {name[:100]}")
+    print(f"  {self_s:>7.2f} s  {layer:<8} {name[:100]}")
 EOF
