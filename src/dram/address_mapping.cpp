@@ -1,6 +1,6 @@
 #include "dram/address_mapping.hpp"
 
-#include "util/assert.hpp"
+#include <bit>
 
 namespace impact::dram {
 
@@ -9,12 +9,18 @@ AddressMapping::AddressMapping(const DramConfig& config, MappingScheme scheme)
       banks_(config.total_banks()),
       rows_(config.rows_per_bank),
       row_bytes_(config.row_bytes),
-      capacity_(config.capacity_bytes()) {
+      capacity_(config.capacity_bytes()),
+      pow2_(std::has_single_bit(banks_) && std::has_single_bit(rows_) &&
+            std::has_single_bit(row_bytes_)) {
   config.validate();
+  if (pow2_) {
+    col_bits_ = static_cast<std::uint32_t>(std::countr_zero(row_bytes_));
+    bank_bits_ = static_cast<std::uint32_t>(std::countr_zero(banks_));
+    row_bits_ = static_cast<std::uint32_t>(std::countr_zero(rows_));
+  }
 }
 
-DramAddress AddressMapping::decode(PhysAddr addr) const {
-  util::check(addr < capacity_, "AddressMapping::decode: address beyond device");
+DramAddress AddressMapping::decode_divide(PhysAddr addr) const {
   const auto col = static_cast<ColOffset>(addr % row_bytes_);
   const std::uint64_t chunk = addr / row_bytes_;
   DramAddress loc;

@@ -17,6 +17,7 @@
 
 #include "dram/config.hpp"
 #include "dram/types.hpp"
+#include "util/assert.hpp"
 
 namespace impact::dram {
 
@@ -46,7 +47,15 @@ class AddressMapping {
   [[nodiscard]] MappingScheme scheme() const { return scheme_; }
 
   /// Decodes a physical address. `addr` must lie inside the device.
-  [[nodiscard]] DramAddress decode(PhysAddr addr) const;
+  /// Every DRAM command decodes its address, so this is inline and, when
+  /// banks, rows and row size are all powers of two (every shipped
+  /// geometry), uses shifts and masks; the division path keeps other
+  /// geometries correct.
+  [[nodiscard]] DramAddress decode(PhysAddr addr) const {
+    util::check(addr < capacity_,
+                "AddressMapping::decode: address beyond device");
+    return pow2_ ? decode_shift(addr) : decode_divide(addr);
+  }
 
   /// Re-encodes coordinates into the unique physical address mapping there.
   [[nodiscard]] PhysAddr encode(const DramAddress& loc) const;
@@ -62,11 +71,39 @@ class AddressMapping {
   [[nodiscard]] std::uint32_t row_bytes() const { return row_bytes_; }
 
  private:
+  [[nodiscard]] DramAddress decode_shift(PhysAddr addr) const {
+    const std::uint64_t chunk = addr >> col_bits_;
+    DramAddress loc;
+    loc.col = static_cast<ColOffset>(addr & (row_bytes_ - 1));
+    switch (scheme_) {
+      case MappingScheme::kBankInterleaved:
+        loc.bank = static_cast<BankId>(chunk & (banks_ - 1));
+        loc.row = static_cast<RowId>(chunk >> bank_bits_);
+        break;
+      case MappingScheme::kRowBankCol:
+        loc.row = static_cast<RowId>(chunk & (rows_ - 1));
+        loc.bank = static_cast<BankId>(chunk >> row_bits_);
+        break;
+      case MappingScheme::kXorBankHash:
+        loc.row = static_cast<RowId>(chunk >> bank_bits_);
+        loc.bank = static_cast<BankId>((chunk ^ loc.row) & (banks_ - 1));
+        break;
+    }
+    return loc;
+  }
+  [[nodiscard]] DramAddress decode_divide(PhysAddr addr) const;
+
   MappingScheme scheme_;
   std::uint32_t banks_;
   std::uint32_t rows_;
   std::uint32_t row_bytes_;
   std::uint64_t capacity_;
+  /// Set when banks, rows and row size are all powers of two; the bit
+  /// counts below are then their log2.
+  bool pow2_;
+  std::uint32_t col_bits_ = 0;
+  std::uint32_t bank_bits_ = 0;
+  std::uint32_t row_bits_ = 0;
 };
 
 }  // namespace impact::dram

@@ -1,6 +1,7 @@
 #include "sys/vmem.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "util/assert.hpp"
 
@@ -8,13 +9,15 @@ namespace impact::sys {
 
 VirtualMemory::VirtualMemory(const dram::AddressMapping& mapping,
                              std::uint64_t seed, std::uint32_t page_bits)
-    : mapping_(&mapping), page_bits_(page_bits) {
+    : mapping_(&mapping), page_bits_(page_bits), seed_(seed) {
   util::check(page_bits_ >= 6 && page_bits_ <= 21,
               "VirtualMemory: page size out of the supported range");
   frames_total_ = mapping.capacity() >> page_bits_;
   util::check(frames_total_ > 0, "VirtualMemory: device smaller than a page");
   frame_taken_.assign(frames_total_, false);
+}
 
+void VirtualMemory::shuffle_pool() {
   // Randomized handout order models the effectively arbitrary
   // physical-frame placement of a long-running system. The pool draws from
   // the upper half of the device so that row-targeted mappings (map_row /
@@ -26,9 +29,22 @@ VirtualMemory::VirtualMemory(const dram::AddressMapping& mapping,
       std::min<std::uint64_t>(frames_total_ - pool_base_, 1ull << 20);
   shuffled_free_.resize(pool);
   for (std::uint32_t i = 0; i < pool; ++i) shuffled_free_[i] = i;
-  util::Xoshiro256 rng(seed);
+  // Backward Fisher-Yates. A step's swap target depends only on the RNG,
+  // so targets are drawn kAhead steps early and their slots prefetched:
+  // the 4 MiB pool outgrows L2, and one miss per step would otherwise set
+  // the pace. The draws keep their order, so the permutation is the same.
+  constexpr std::uint64_t kAhead = 16;
+  std::array<std::uint64_t, kAhead> target{};  // Step i's at i % kAhead.
+  util::Xoshiro256 rng(seed_);
+  const auto draw = [&](std::uint64_t i) {
+    const std::uint64_t j = rng.below(i);
+    __builtin_prefetch(shuffled_free_.data() + j);
+    target[i % kAhead] = j;
+  };
+  for (std::uint64_t i = pool; i > 1 && i + kAhead > pool; --i) draw(i);
   for (std::uint64_t i = pool; i > 1; --i) {
-    std::swap(shuffled_free_[i - 1], shuffled_free_[rng.below(i)]);
+    std::swap(shuffled_free_[i - 1], shuffled_free_[target[i % kAhead]]);
+    if (i > kAhead + 1) draw(i - kAhead);
   }
 }
 
@@ -53,6 +69,7 @@ void VirtualMemory::claim_frame(std::uint64_t frame) {
 }
 
 std::uint64_t VirtualMemory::take_free_frame() {
+  if (shuffled_free_.empty()) shuffle_pool();
   while (shuffled_pos_ < shuffled_free_.size()) {
     const std::uint64_t f = pool_base_ + shuffled_free_[shuffled_pos_++];
     if (!frame_taken_[f]) {

@@ -8,6 +8,13 @@
 // is what makes massaging work. The PuM attack additionally needs two
 // virtual ranges whose physical pages span *all* banks at the same row
 // index (§5.1), provided by `map_row_span`.
+//
+// `map_pages` draws frames from a shuffled pool of up to 2^20 frames in the
+// upper half of the device. The pool is built and shuffled on the first
+// `map_pages`, not in the constructor: the row-buffer channels map only
+// rows (`map_row` / `map_row_span`) and never pay its 4 MiB and 2^20 draws.
+// Deferring it leaves the handout order unchanged, because the pool skips
+// frames that row mappings claimed earlier.
 #pragma once
 
 #include <array>
@@ -143,18 +150,22 @@ class VirtualMemory {
   Process& process(dram::ActorId proc);
   VAddr install(Process& p, const std::vector<std::uint64_t>& frames);
   std::uint64_t take_free_frame();
+  /// Builds the randomized handout order; runs once, on first use.
+  void shuffle_pool();
   /// Claims a specific frame; it must be free.
   void claim_frame(std::uint64_t frame);
   [[nodiscard]] bool frame_free(std::uint64_t frame) const;
 
   const dram::AddressMapping* mapping_;
   std::uint32_t page_bits_;
+  std::uint64_t seed_;
   std::uint64_t frames_total_;
   std::uint64_t frames_used_ = 0;
   std::vector<bool> frame_taken_;
   /// Randomized handout order, as offsets from pool_base_ (the pool is
-  /// capped at 2^20 frames, so 32 bits hold any offset and halve the
-  /// footprint every MemorySystem pays).
+  /// capped at 2^20 frames, so 32 bits hold any offset and halve its
+  /// footprint). Empty until the first take_free_frame() builds it; a
+  /// built pool holds at least one frame.
   std::vector<std::uint32_t> shuffled_free_;
   std::uint64_t pool_base_ = 0;
   std::size_t shuffled_pos_ = 0;

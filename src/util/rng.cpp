@@ -14,10 +14,6 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-constexpr std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 void Xoshiro256::reseed(std::uint64_t seed) {
@@ -26,45 +22,10 @@ void Xoshiro256::reseed(std::uint64_t seed) {
   have_spare_normal_ = false;
 }
 
-Xoshiro256::result_type Xoshiro256::operator()() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-std::uint64_t Xoshiro256::below(std::uint64_t bound) {
-  check(bound > 0, "Xoshiro256::below requires bound > 0");
-  // Lemire's method: multiply into a 128-bit product and reject the biased
-  // low fringe.
-  std::uint64_t x = (*this)();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  auto low = static_cast<std::uint64_t>(m);
-  if (low < bound) {
-    const std::uint64_t threshold = (0 - bound) % bound;
-    while (low < threshold) {
-      x = (*this)();
-      m = static_cast<__uint128_t>(x) * bound;
-      low = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
-}
-
 std::int64_t Xoshiro256::range(std::int64_t lo, std::int64_t hi) {
   check(lo <= hi, "Xoshiro256::range requires lo <= hi");
   const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
   return lo + static_cast<std::int64_t>(below(span));
-}
-
-double Xoshiro256::uniform() {
-  // 53 high-quality bits into the mantissa.
-  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
 }
 
 double Xoshiro256::normal() {

@@ -6,6 +6,7 @@
 // deliberately not offered.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 
@@ -30,17 +31,49 @@ class Xoshiro256 {
     return std::numeric_limits<result_type>::max();
   }
 
-  result_type operator()();
+  /// Inline, like below() and uniform(): the frame-pool shuffle and the
+  /// graph and genome generators draw millions of values, and an
+  /// out-of-line call per draw doubles the shuffle's cost.
+  result_type operator()() {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform integer in [0, bound). `bound` must be positive. Uses Lemire's
   /// multiply-shift rejection method (unbiased).
-  std::uint64_t below(std::uint64_t bound);
+  std::uint64_t below(std::uint64_t bound) {
+    check(bound > 0, "Xoshiro256::below requires bound > 0");
+    // Lemire's method: multiply into a 128-bit product and reject the
+    // biased low fringe.
+    std::uint64_t x = (*this)();
+    __uint128_t m = static_cast<__uint128_t>(x) * bound;
+    auto low = static_cast<std::uint64_t>(m);
+    if (low < bound) {
+      const std::uint64_t threshold = (0 - bound) % bound;
+      while (low < threshold) {
+        x = (*this)();
+        m = static_cast<__uint128_t>(x) * bound;
+        low = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Uniform integer in [lo, hi] inclusive.
   std::int64_t range(std::int64_t lo, std::int64_t hi);
 
   /// Uniform double in [0, 1).
-  double uniform();
+  double uniform() {
+    // 53 high-quality bits into the mantissa.
+    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+  }
 
   /// Bernoulli trial with success probability `p`.
   bool chance(double p) { return uniform() < p; }

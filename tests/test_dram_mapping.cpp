@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <tuple>
 
 #include "dram/address_mapping.hpp"
@@ -138,6 +139,79 @@ TEST(Mapping, RejectsOutOfRange) {
                std::invalid_argument);
   EXPECT_THROW((void)mapping.encode(DramAddress{0, 0, 8192}),
                std::invalid_argument);
+}
+
+// Independent oracle for decode: the naive `%` and `/` formulas of
+// DESIGN.md §3 ("Address mapping"), with no shift fast path. decode must
+// agree with it on power-of-two geometries (its shift-and-mask path) and
+// on the rest (its division fallback).
+DramAddress naive_decode(MappingScheme scheme, std::uint64_t banks,
+                         std::uint64_t rows, std::uint64_t row_bytes,
+                         PhysAddr addr) {
+  const std::uint64_t chunk = addr / row_bytes;
+  DramAddress loc;
+  loc.col = static_cast<ColOffset>(addr % row_bytes);
+  switch (scheme) {
+    case MappingScheme::kBankInterleaved:
+      loc.bank = static_cast<BankId>(chunk % banks);
+      loc.row = static_cast<RowId>(chunk / banks);
+      break;
+    case MappingScheme::kRowBankCol:
+      loc.row = static_cast<RowId>(chunk % rows);
+      loc.bank = static_cast<BankId>(chunk / rows);
+      break;
+    case MappingScheme::kXorBankHash:
+      loc.row = static_cast<RowId>(chunk / banks);
+      loc.bank = static_cast<BankId>(((chunk % banks) ^ (loc.row % banks)) %
+                                     banks);
+      break;
+  }
+  return loc;
+}
+
+struct Geometry {
+  std::uint32_t ranks;
+  std::uint32_t banks_per_rank;
+  std::uint32_t rows;
+};
+
+TEST(MappingOracle, DecodeMatchesNaiveFormulas) {
+  const Geometry geometries[] = {
+      {1, 64, 32768},   // The default device: 64 banks, all powers of two.
+      {128, 64, 1024},  // 8192 banks, the largest Fig. 10 device.
+      {3, 8, 1024},     // 24 banks: the division fallback ...
+      {1, 16, 1536},    // ... and 1536 rows: the fallback again.
+  };
+  for (const auto& g : geometries) {
+    const auto config = make_config(g.ranks, g.banks_per_rank, g.rows, 8192);
+    for (const auto scheme :
+         {MappingScheme::kBankInterleaved, MappingScheme::kRowBankCol,
+          MappingScheme::kXorBankHash}) {
+      SCOPED_TRACE(std::string(to_string(scheme)) + " with " +
+                   std::to_string(config.total_banks()) + " banks");
+      AddressMapping mapping(config, scheme);
+      ASSERT_EQ(mapping.capacity(), std::uint64_t{config.total_banks()} *
+                                        g.rows * config.row_bytes);
+      util::Xoshiro256 rng(2024);
+      for (int i = 0; i < 20000; ++i) {
+        // Every fourth address sits at a chunk edge, where an off-by-one
+        // in the shifts would show first.
+        PhysAddr addr = rng.below(mapping.capacity());
+        if (i % 4 == 0) addr -= addr % config.row_bytes;
+        if (i % 8 == 0 && addr >= 1) addr -= 1;
+        ASSERT_EQ(mapping.decode(addr),
+                  naive_decode(scheme, config.total_banks(), g.rows,
+                               config.row_bytes, addr))
+            << "addr " << addr;
+      }
+      const PhysAddr last = mapping.capacity() - 1;
+      EXPECT_EQ(mapping.decode(last),
+                naive_decode(scheme, config.total_banks(), g.rows,
+                             config.row_bytes, last));
+      EXPECT_THROW((void)mapping.decode(mapping.capacity()),
+                   std::invalid_argument);
+    }
+  }
 }
 
 TEST(DramConfigTest, ValidationRejectsBadGeometry) {

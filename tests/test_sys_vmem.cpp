@@ -1,20 +1,34 @@
 // Unit tests: virtual memory — mapping policies, massaging, sharing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "dram/address_mapping.hpp"
 #include "sys/vmem.hpp"
+#include "util/rng.hpp"
 
 namespace impact::sys {
 namespace {
+
+constexpr std::uint64_t kSeed = 5;
 
 class VmemTest : public ::testing::Test {
  protected:
   VmemTest()
       : config_(),
         mapping_(config_, dram::MappingScheme::kBankInterleaved),
-        vmem_(mapping_, /*seed=*/5) {}
+        vmem_(mapping_, kSeed) {}
+
+  /// Physical frames behind `span`, in virtual-address order.
+  std::vector<std::uint64_t> frames_of(dram::ActorId proc, const VSpan& span) {
+    std::vector<std::uint64_t> frames;
+    for (VAddr v = span.vaddr; v < span.end(); v += 4096) {
+      frames.push_back(vmem_.translate(proc, v) >> 12);
+    }
+    return frames;
+  }
 
   dram::DramConfig config_;
   dram::AddressMapping mapping_;
@@ -140,6 +154,88 @@ TEST_F(VmemTest, FrameAccounting) {
   (void)vmem_.map_pages(1, 10);
   EXPECT_EQ(vmem_.frames_used(), used_before + 10);
   EXPECT_EQ(vmem_.frames_total(), mapping_.capacity() / 4096);
+}
+
+// Independent oracle for the deferred pool: an eager backward Fisher-Yates
+// over the upper half of the device (at most 2^20 frames), seeded as the
+// VirtualMemory is. map_pages must hand out exactly this order, minus the
+// frames that row mappings claimed first, however late the pool is built.
+std::vector<std::uint64_t> naive_handout_order(std::uint64_t frames_total,
+                                               std::uint64_t seed) {
+  const std::uint64_t base = frames_total / 2;
+  const std::uint64_t pool =
+      std::min<std::uint64_t>(frames_total - base, 1ull << 20);
+  std::vector<std::uint64_t> order(pool);
+  for (std::uint64_t i = 0; i < pool; ++i) order[i] = base + i;
+  util::Xoshiro256 rng(seed);
+  for (std::uint64_t i = pool; i > 1; --i) {
+    std::swap(order[i - 1], order[rng.below(i)]);
+  }
+  return order;
+}
+
+TEST_F(VmemTest, MapPagesFollowsEagerShuffleOrder) {
+  const auto order = naive_handout_order(vmem_.frames_total(), kSeed);
+  std::vector<std::uint64_t> got;
+  for (const auto& [proc, n] :
+       {std::pair<dram::ActorId, std::uint64_t>{1, 100}, {2, 1}, {1, 400}}) {
+    const auto frames = frames_of(proc, vmem_.map_pages(proc, n));
+    got.insert(got.end(), frames.begin(), frames.end());
+  }
+  ASSERT_EQ(got.size(), 501u);
+  EXPECT_TRUE(std::equal(got.begin(), got.end(), order.begin()));
+}
+
+TEST(VmemSmallDevice, MapPagesFollowsEagerShuffleOrder) {
+  // Pools of 1 to 64 frames: shorter than the shuffle's draw-ahead
+  // window, equal to it and a few times longer. Once the pool is spent,
+  // the low half is handed out in frame order.
+  for (const std::uint32_t rows : {1u, 4u, 8u, 16u, 32u, 64u}) {
+    dram::DramConfig config;
+    config.ranks = 1;
+    config.banks_per_rank = 1;
+    config.rows_per_bank = rows;  // 2 frames per 8 KiB row.
+    config.subarray_rows = rows;
+    dram::AddressMapping mapping(config,
+                                 dram::MappingScheme::kBankInterleaved);
+    VirtualMemory vmem(mapping, kSeed + rows);
+    const auto order = naive_handout_order(vmem.frames_total(), kSeed + rows);
+    const auto span = vmem.map_pages(1, vmem.frames_total());
+    for (std::uint64_t k = 0; k < vmem.frames_total(); ++k) {
+      const std::uint64_t want =
+          k < order.size() ? order[k] : k - order.size();
+      EXPECT_EQ(vmem.translate(1, span.vaddr + k * 4096) >> 12, want)
+          << rows << " rows, page " << k;
+    }
+  }
+}
+
+TEST_F(VmemTest, RowClaimsBeforeFirstMapPagesAreSkipped) {
+  const auto order = naive_handout_order(vmem_.frames_total(), kSeed);
+  // Claim the rows holding the 1st and a later frame of the handout order,
+  // so the pool, built only at the first map_pages, must skip them.
+  const auto first = mapping_.decode(order[0] << 12);
+  std::set<std::uint64_t> claimed;
+  for (const auto f : frames_of(3, vmem_.map_row(3, first.bank, first.row))) {
+    claimed.insert(f);
+  }
+  const auto later = std::find_if(order.begin(), order.end(), [&](auto f) {
+    return mapping_.decode(f << 12).row != first.row;
+  });
+  ASSERT_NE(later, order.end());
+  const auto span_row = mapping_.decode(*later << 12).row;
+  for (const auto f : frames_of(4, vmem_.map_row_span(4, span_row))) {
+    claimed.insert(f);
+  }
+  ASSERT_EQ(claimed.size(), 2u + 64u * 2u);  // One row, then 64 banks' rows.
+
+  std::vector<std::uint64_t> expected;
+  for (const auto f : order) {
+    if (!claimed.contains(f)) expected.push_back(f);
+    if (expected.size() == 600) break;
+  }
+  EXPECT_EQ(frames_of(1, vmem_.map_pages(1, 600)), expected);
+  EXPECT_EQ(vmem_.frames_used(), claimed.size() + 600);
 }
 
 TEST(VmemSmallDevice, ExhaustionThrows) {

@@ -10,8 +10,9 @@
 # not through a project option), runs the spec on one thread, and folds
 # gprof's flat profile into a table of self time per simulator layer:
 # cache / sys / dram / graph / exec / obs / genomics / attacks / pim /
-# channel / store / other (the first `impact::<ns>` of each symbol; std::,
-# util and the rest count as other).
+# channel / store / other (the leading namespace of each symbol's own
+# qualified name, after any return type: a std:: template counts as other
+# even when its arguments name an impact type, and so do util and the rest).
 #
 # One thread because gprof samples only the main thread: with
 # IMPACT_THREADS=1 the sweep engine runs every cell on the caller.
@@ -51,14 +52,42 @@ rows = []
 # Flat-profile rows: %time, cumulative s, self s, [calls, self/call,
 # total/call,] name.
 row = re.compile(r"^\s*([\d.]+)\s+([\d.]+)\s+([\d.]+)\s+(?:\d+\s+[\d.]+\s+[\d.]+\s+)?(.+)$")
+# Operator names whose punctuation would unbalance the bracket count.
+operators = re.compile(r"operator(?:\(\)|<=>|<<=?|>>=?|<=|>=|->\*?|<|>)")
+
+
+def own_name(symbol):
+    """The symbol's qualified name, without return type or parameters.
+
+    Demangled template functions carry their return type ("impact::cache::X
+    impact::cache::Hierarchy::filter(...)"), and template arguments may name
+    types of any layer ("std::_Hashtable<..., impact::sys::...>::find(...)"),
+    so the name is the last top-level word before the parameter list.
+    """
+    s = operators.sub("operator@", symbol.replace("(anonymous namespace)", "{anon}"))
+    depth, start = 0, 0
+    for i, c in enumerate(s):
+        if c in "<{[":
+            depth += 1
+        elif c in ">}]":
+            depth -= 1
+        elif c == "(":
+            if depth == 0:
+                return s[start:i]
+            depth += 1
+        elif c == ")":
+            depth -= 1
+        elif c == " " and depth == 0 and not s[:i].endswith("operator"):
+            start = i + 1
+    return s[start:]
+
+
 for line in open(path):
     m = row.match(line)
     if not m:
         continue
     self_s, name = float(m.group(3)), m.group(4).strip()
-    # The first namespace after any return type: "impact::cache::X
-    # impact::cache::Hierarchy::filter(...)" is cache, std:: is other.
-    ns = re.match(r"^(?:[\w:<>,*& ]+?\s)?impact::(\w+)::", name)
+    ns = re.match(r"impact::(\w+)::", own_name(name))
     layer = ns.group(1) if ns and ns.group(1) in layers else "other"
     total[layer] += self_s
     rows.append((self_s, layer, name))
