@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -43,8 +44,8 @@ class CsrGraph {
   }
 
  private:
-  static CsrGraph from_pairs(NodeId nodes,
-                             std::vector<std::pair<NodeId, NodeId>> pairs);
+  static CsrGraph from_pairs(
+      NodeId nodes, const std::vector<std::pair<NodeId, NodeId>>& pairs);
 
   NodeId nodes_ = 0;
   std::vector<std::uint32_t> offsets_;  // nodes+1 entries.

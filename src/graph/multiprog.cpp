@@ -206,18 +206,29 @@ class StreamCursor {
 
 }  // namespace
 
-WorkloadInput build_input(const MultiprogConfig& config, WorkloadKind kind) {
+std::shared_ptr<const CsrGraph> build_graph(const MultiprogConfig& config) {
   util::Xoshiro256 rng(config.graph_seed);
-  WorkloadInput input;
-  input.graph = CsrGraph::rmat(config.rmat_scale, config.edge_count, rng);
-  input.trace = build_trace(kind, input.graph);
+  return std::make_shared<const CsrGraph>(
+      CsrGraph::rmat(config.rmat_scale, config.edge_count, rng));
+}
+
+WorkloadInput build_input(std::shared_ptr<const CsrGraph> graph,
+                          WorkloadKind kind) {
+  util::check(graph != nullptr, "build_input: no graph");
+  WorkloadInput input{std::move(graph), {}};
+  input.trace = build_trace(kind, *input.graph);
   util::check(!input.trace.ops.empty(), "build_input: empty trace");
   return input;
 }
 
+WorkloadInput build_input(const MultiprogConfig& config, WorkloadKind kind) {
+  return build_input(build_graph(config), kind);
+}
+
 DramStream filter_instance(const MultiprogConfig& config,
                            const WorkloadInput& input, Instance instance) {
-  const CsrGraph& graph = input.graph;
+  util::check(input.graph != nullptr, "filter_instance: no graph");
+  const CsrGraph& graph = *input.graph;
   const WorkloadTrace& trace = input.trace;
   util::check(!trace.ops.empty(), "filter_instance: empty trace");
 

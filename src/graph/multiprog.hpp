@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "dram/config.hpp"
@@ -60,15 +61,26 @@ struct RunStats {
 };
 
 /// The shared input of one Fig. 11 bar group: the RMAT graph and the
-/// workload trace both co-scheduled instances replay. Building it is a
-/// significant fraction of a run, so the sweep engine builds it once per
-/// workload and shares it (read-only) across the per-policy cells.
+/// workload trace both co-scheduled instances replay. The sweep engine
+/// builds it once per workload and shares it (read-only) across the
+/// per-policy cells; the graph itself is shared by every workload of one
+/// graph config (build_graph).
 struct WorkloadInput {
-  CsrGraph graph;
+  std::shared_ptr<const CsrGraph> graph;
   WorkloadTrace trace;
 };
 
-/// Deterministically builds the shared input for `kind` (config seed).
+/// Deterministically builds the RMAT input graph of `config`. It depends
+/// only on graph_seed, rmat_scale and edge_count.
+[[nodiscard]] std::shared_ptr<const CsrGraph> build_graph(
+    const MultiprogConfig& config);
+
+/// The input for `kind` over `graph`: the graph plus build_trace's trace.
+[[nodiscard]] WorkloadInput build_input(std::shared_ptr<const CsrGraph> graph,
+                                        WorkloadKind kind);
+
+/// Deterministically builds the shared input for `kind` (config seed):
+/// build_input(build_graph(config), kind).
 [[nodiscard]] WorkloadInput build_input(const MultiprogConfig& config,
                                         WorkloadKind kind);
 

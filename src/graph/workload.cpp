@@ -9,31 +9,41 @@ namespace impact::graph {
 
 namespace {
 
+/// Counts the ops a kernel emits, so that its trace can be sized exactly
+/// before the emitting pass.
+struct OpCounter {
+  std::size_t ops = 0;
+  void read(ArrayRef, std::uint32_t, std::uint16_t, std::uint16_t) { ++ops; }
+  void write(ArrayRef, std::uint32_t, std::uint16_t, std::uint16_t) { ++ops; }
+};
+
 /// Trace emission helper: appends ops while the kernel computes for real.
 class Emitter {
  public:
-  explicit Emitter(WorkloadTrace& trace) : trace_(&trace) {}
+  explicit Emitter(std::vector<TraceOp>& ops) : ops_(&ops) {}
 
   void read(ArrayRef a, std::uint32_t i, std::uint16_t compute,
             std::uint16_t pc) {
-    trace_->ops.push_back(TraceOp{a, i, false, compute, pc});
+    ops_->push_back(TraceOp{i, compute, pc, a, false});
   }
   void write(ArrayRef a, std::uint32_t i, std::uint16_t compute,
              std::uint16_t pc) {
-    trace_->ops.push_back(TraceOp{a, i, true, compute, pc});
+    ops_->push_back(TraceOp{i, compute, pc, a, true});
   }
 
  private:
-  WorkloadTrace* trace_;
+  std::vector<TraceOp>* ops_;
 };
+
+// Each kernel fills `t`'s private_elems and checksum and reports its
+// accesses to `e` (an OpCounter or an Emitter). Kernels are deterministic,
+// so both passes of build_trace see the same accesses.
 
 /// BFS from node 0: offsets/edges streamed per frontier node, random
 /// parent-array probes. High MPKI, low row locality on node state.
-WorkloadTrace trace_bfs(const CsrGraph& g) {
-  WorkloadTrace t;
-  t.kind = WorkloadKind::kBFS;
+template <typename Sink>
+void trace_bfs(const CsrGraph& g, WorkloadTrace& t, Sink& e) {
   t.private_elems[0] = g.nodes();  // parent array
-  Emitter e(t);
   std::vector<NodeId> parent(g.nodes(), ~0u);
   std::deque<NodeId> frontier{0};
   parent[0] = 0;
@@ -56,18 +66,15 @@ WorkloadTrace trace_bfs(const CsrGraph& g) {
     }
   }
   t.checksum = visited;
-  return t;
 }
 
 /// Two pull-style PageRank iterations: fully streaming over offsets/edges
 /// with random rank gathers; high spatial/row locality, low MPKI thanks to
 /// the arithmetic per edge.
-WorkloadTrace trace_pr(const CsrGraph& g) {
-  WorkloadTrace t;
-  t.kind = WorkloadKind::kPR;
+template <typename Sink>
+void trace_pr(const CsrGraph& g, WorkloadTrace& t, Sink& e) {
   t.private_elems[0] = g.nodes();  // rank
   t.private_elems[1] = g.nodes();  // next
-  Emitter e(t);
   std::vector<double> rank(g.nodes(), 1.0 / g.nodes());
   std::vector<double> next(g.nodes(), 0.0);
   for (int iter = 0; iter < 2; ++iter) {
@@ -89,16 +96,13 @@ WorkloadTrace trace_pr(const CsrGraph& g) {
   double sum = 0.0;
   for (double r : rank) sum += r;
   t.checksum = static_cast<std::uint64_t>(sum * 1e6);
-  return t;
 }
 
 /// Two label-propagation rounds of connected components: like PR but with
 /// minimal arithmetic -> the highest MPKI of the suite.
-WorkloadTrace trace_cc(const CsrGraph& g) {
-  WorkloadTrace t;
-  t.kind = WorkloadKind::kCC;
+template <typename Sink>
+void trace_cc(const CsrGraph& g, WorkloadTrace& t, Sink& e) {
   t.private_elems[0] = g.nodes();  // labels
-  Emitter e(t);
   std::vector<NodeId> label(g.nodes());
   for (NodeId u = 0; u < g.nodes(); ++u) label[u] = u;
   for (int iter = 0; iter < 2; ++iter) {
@@ -121,15 +125,12 @@ WorkloadTrace trace_cc(const CsrGraph& g) {
   std::uint64_t components = 0;
   for (NodeId u = 0; u < g.nodes(); ++u) components += (label[u] == u);
   t.checksum = components;
-  return t;
 }
 
 /// Triangle counting by sorted-adjacency intersection: two-pointer scans of
 /// the edge array (good spatial locality), moderate arithmetic.
-WorkloadTrace trace_tc(const CsrGraph& g) {
-  WorkloadTrace t;
-  t.kind = WorkloadKind::kTC;
-  Emitter e(t);
+template <typename Sink>
+void trace_tc(const CsrGraph& g, WorkloadTrace& t, Sink& e) {
   std::uint64_t triangles = 0;
   // Cap per-node work to keep the trace bounded on skewed graphs.
   constexpr std::uint32_t kDegCap = 64;
@@ -163,19 +164,16 @@ WorkloadTrace trace_tc(const CsrGraph& g) {
     }
   }
   t.checksum = triangles;
-  return t;
 }
 
 /// Betweenness centrality (Brandes) from a few sources: BFS passes plus a
 /// dependency back-propagation, with heavy arithmetic per access (the
 /// lowest MPKI of the suite, as in the paper's characterization).
-WorkloadTrace trace_bc(const CsrGraph& g) {
-  WorkloadTrace t;
-  t.kind = WorkloadKind::kBC;
+template <typename Sink>
+void trace_bc(const CsrGraph& g, WorkloadTrace& t, Sink& e) {
   t.private_elems[0] = g.nodes();  // sigma (path counts)
   t.private_elems[1] = g.nodes();  // dist
   t.private_elems[2] = g.nodes();  // delta (dependencies)
-  Emitter e(t);
   std::vector<double> centrality(g.nodes(), 0.0);
   constexpr NodeId kSources = 2;
   for (NodeId s = 0; s < kSources; ++s) {
@@ -224,18 +222,15 @@ WorkloadTrace trace_bc(const CsrGraph& g) {
   double sum = 0.0;
   for (double c : centrality) sum += c;
   t.checksum = static_cast<std::uint64_t>(sum * 1e3);
-  return t;
 }
 
 /// Bellman-Ford-style single-source shortest paths (unit weights derived
 /// from the edge target, making the relaxation data-dependent): frontier
 /// scans over offsets/edges with random distance-array probes and
 /// moderate arithmetic.
-WorkloadTrace trace_sssp(const CsrGraph& g) {
-  WorkloadTrace t;
-  t.kind = WorkloadKind::kSSSP;
+template <typename Sink>
+void trace_sssp(const CsrGraph& g, WorkloadTrace& t, Sink& e) {
   t.private_elems[0] = g.nodes();  // dist
-  Emitter e(t);
   constexpr std::uint64_t kInf = ~0ull;
   std::vector<std::uint64_t> dist(g.nodes(), kInf);
   dist[0] = 0;
@@ -264,6 +259,20 @@ WorkloadTrace trace_sssp(const CsrGraph& g) {
     if (d != kInf) sum += d;
   }
   t.checksum = sum;
+}
+
+/// Runs `kernel(trace, sink)` twice: once counting its ops, then emitting
+/// them into a trace reserved to that count, so the trace never
+/// reallocates.
+template <typename Kernel>
+WorkloadTrace sized_trace(WorkloadKind kind, const Kernel& kernel) {
+  WorkloadTrace t;
+  t.kind = kind;
+  OpCounter counter;
+  kernel(t, counter);
+  t.ops.reserve(counter.ops);
+  Emitter e(t.ops);
+  kernel(t, e);
   return t;
 }
 
@@ -272,17 +281,29 @@ WorkloadTrace trace_sssp(const CsrGraph& g) {
 WorkloadTrace build_trace(WorkloadKind kind, const CsrGraph& graph) {
   switch (kind) {
     case WorkloadKind::kBC:
-      return trace_bc(graph);
+      return sized_trace(kind, [&](WorkloadTrace& t, auto& e) {
+        trace_bc(graph, t, e);
+      });
     case WorkloadKind::kBFS:
-      return trace_bfs(graph);
+      return sized_trace(kind, [&](WorkloadTrace& t, auto& e) {
+        trace_bfs(graph, t, e);
+      });
     case WorkloadKind::kCC:
-      return trace_cc(graph);
+      return sized_trace(kind, [&](WorkloadTrace& t, auto& e) {
+        trace_cc(graph, t, e);
+      });
     case WorkloadKind::kTC:
-      return trace_tc(graph);
+      return sized_trace(kind, [&](WorkloadTrace& t, auto& e) {
+        trace_tc(graph, t, e);
+      });
     case WorkloadKind::kPR:
-      return trace_pr(graph);
+      return sized_trace(kind, [&](WorkloadTrace& t, auto& e) {
+        trace_pr(graph, t, e);
+      });
     case WorkloadKind::kSSSP:
-      return trace_sssp(graph);
+      return sized_trace(kind, [&](WorkloadTrace& t, auto& e) {
+        trace_sssp(graph, t, e);
+      });
   }
   util::check(false, "build_trace: unknown workload");
   return {};

@@ -58,13 +58,18 @@ enum class ArrayRef : std::uint8_t {
 };
 inline constexpr std::size_t kArrayRefCount = 5;
 
+/// One access. Fields run from widest to narrowest, so an op packs into 12
+/// bytes with no padding (the Fig. 11 traces hold about 12M of them).
 struct TraceOp {
-  ArrayRef array = ArrayRef::kOffsets;
   std::uint32_t index = 0;    ///< Element index (4-byte elements).
-  bool write = false;
   std::uint16_t compute = 0;  ///< CPU cycles before this access.
   std::uint16_t pc = 0;       ///< Synthetic instruction address (prefetchers).
+  ArrayRef array = ArrayRef::kOffsets;
+  bool write = false;
+
+  friend bool operator==(const TraceOp&, const TraceOp&) = default;
 };
+static_assert(sizeof(TraceOp) == 12);
 
 struct WorkloadTrace {
   WorkloadKind kind = WorkloadKind::kBFS;

@@ -34,10 +34,10 @@ using Row = std::vector<std::string>;
 constexpr std::size_t kSubSweepCells[] = {5, 5, 3, 7, 6};
 
 int run_ablation_sweep(Context& ctx) {
-  exec::ThreadPool& pool = ctx.pool();
   std::printf("=== bench_ablation_sweep: IMPACT design-space ablations "
-              "(%u worker thread(s)) ===\n\n",
-              pool.size());
+              "===\n\n");
+  // The thread count goes to stderr: stdout is the same for every count.
+  std::fprintf(stderr, "%u worker thread(s)\n", ctx.pool().size());
 
   store::CellRunner& runner = ctx.runner();
 

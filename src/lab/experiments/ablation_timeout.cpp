@@ -65,14 +65,16 @@ int run_ablation_timeout(Context&) {
   base.edge_count = 1u << 16;
   // The timeout changes only DRAM, so each input is built and filtered
   // through the caches once, then replayed under the open-row baseline and
-  // every timeout (graph::filter_instance / graph::replay_dram).
+  // every timeout (graph::filter_instance / graph::replay_dram). BFS and
+  // PR share one graph.
   struct Filtered {
     graph::WorkloadInput input;
     graph::DramStream a;
     graph::DramStream b;
   };
-  const auto filter = [&base](graph::WorkloadKind kind) {
-    Filtered f{graph::build_input(base, kind), {}, {}};
+  const auto shared_graph = graph::build_graph(base);
+  const auto filter = [&base, &shared_graph](graph::WorkloadKind kind) {
+    Filtered f{graph::build_input(shared_graph, kind), {}, {}};
     f.a = graph::filter_instance(base, f.input, graph::Instance::kA);
     f.b = graph::filter_instance(base, f.input, graph::Instance::kB);
     return f;

@@ -30,12 +30,11 @@ constexpr dram::RowPolicy kFig11Policies[] = {
     dram::RowPolicy::kConstantTime, dram::RowPolicy::kAdaptive};
 
 int run_fig11(Context& ctx) {
-  exec::ThreadPool& pool = ctx.pool();
   std::printf("=== bench_fig11: defense overheads (CRP / CTD vs open row) "
               "===\n");
-  std::printf("2 cores, shared RMAT input, hierarchy+input scaled 256x, "
-              "%u worker thread(s)\n\n",
-              pool.size());
+  std::printf("2 cores, shared RMAT input, hierarchy+input scaled 256x\n\n");
+  // The thread count goes to stderr: stdout is the same for every count.
+  std::fprintf(stderr, "%u worker thread(s)\n", ctx.pool().size());
 
   graph::MultiprogConfig config;
   store::CellRunner& runner = ctx.runner();

@@ -3,6 +3,8 @@
 
 #include <algorithm>
 #include <deque>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "dram/controller.hpp"
@@ -49,6 +51,173 @@ TEST(CsrGraphTest, GeneratorsAreDeterministic) {
 TEST(CsrGraphTest, ValidationRejectsBadShape) {
   EXPECT_THROW(CsrGraph(2, {0, 1}, {0}), std::invalid_argument);
   EXPECT_THROW(CsrGraph(2, {0, 1, 3}, {0}), std::invalid_argument);
+}
+
+// --- CSR oracle -----------------------------------------------------------
+//
+// An independent CSR build: the generators' edge draws written out from
+// their definitions, the pairs sorted with std::sort, offsets from a
+// per-source count and a prefix sum. CsrGraph must match it exactly.
+
+struct OracleGraph {
+  std::vector<std::uint32_t> offsets;
+  std::vector<NodeId> edges;
+  std::size_t wrapped_to_zero = 0;  ///< u == v == nodes-1 draws (v -> 0).
+  std::size_t duplicates = 0;       ///< Pairs equal to their predecessor.
+  std::size_t empty_rows = 0;       ///< Nodes with no out-edges.
+};
+
+OracleGraph oracle_csr(NodeId nodes,
+                       std::vector<std::pair<NodeId, NodeId>> pairs,
+                       std::size_t wrapped_to_zero) {
+  OracleGraph g;
+  g.wrapped_to_zero = wrapped_to_zero;
+  std::sort(pairs.begin(), pairs.end());
+  std::vector<std::uint32_t> degree(nodes, 0);
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    ++degree[pairs[i].first];
+    g.edges.push_back(pairs[i].second);
+    if (i > 0 && pairs[i] == pairs[i - 1]) ++g.duplicates;
+  }
+  g.offsets.push_back(0);
+  for (NodeId u = 0; u < nodes; ++u) {
+    g.offsets.push_back(g.offsets.back() + degree[u]);
+    if (degree[u] == 0) ++g.empty_rows;
+  }
+  return g;
+}
+
+/// Self-loops move to the next node, wrapping past the last one.
+NodeId skip_self_loop(NodeId u, NodeId v, NodeId nodes, std::size_t& wraps) {
+  if (u != v) return v;
+  if (v + 1 == nodes) ++wraps;
+  return (v + 1) % nodes;
+}
+
+OracleGraph oracle_rmat(std::uint32_t scale, std::size_t edges,
+                        std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  const NodeId nodes = 1u << scale;
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  std::size_t wraps = 0;
+  for (std::size_t i = 0; i < edges; ++i) {
+    NodeId u = 0;
+    NodeId v = 0;
+    for (std::uint32_t bit = 0; bit < scale; ++bit) {
+      // Quadrants a = 0.57, b = 0.19, c = 0.19, d = 0.05.
+      const double r = rng.uniform();
+      if (r >= 0.57 + 0.19 + 0.19) {
+        u += 1u << bit;
+        v += 1u << bit;
+      } else if (r >= 0.57 + 0.19) {
+        u += 1u << bit;
+      } else if (r >= 0.57) {
+        v += 1u << bit;
+      }
+    }
+    pairs.emplace_back(u, skip_self_loop(u, v, nodes, wraps));
+  }
+  return oracle_csr(nodes, std::move(pairs), wraps);
+}
+
+OracleGraph oracle_uniform(NodeId nodes, std::size_t edges,
+                           std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  std::size_t wraps = 0;
+  for (std::size_t i = 0; i < edges; ++i) {
+    const auto u = static_cast<NodeId>(rng.below(nodes));
+    const auto v = static_cast<NodeId>(rng.below(nodes));
+    pairs.emplace_back(u, skip_self_loop(u, v, nodes, wraps));
+  }
+  return oracle_csr(nodes, std::move(pairs), wraps);
+}
+
+TEST(CsrOracle, RmatAndUniformMatchSortedPairsAtEveryScale) {
+  OracleGraph seen;  // Edge cases met over all scales, summed.
+  for (std::uint32_t scale = 1; scale <= 15; ++scale) {
+    const NodeId nodes = 1u << scale;
+    const std::size_t edges = 4ull << scale;
+    const std::uint64_t seed = 1000 + scale;
+    {
+      util::Xoshiro256 rng(seed);
+      const CsrGraph g = CsrGraph::rmat(scale, edges, rng);
+      const OracleGraph want = oracle_rmat(scale, edges, seed);
+      ASSERT_EQ(g.offsets(), want.offsets) << "rmat scale " << scale;
+      ASSERT_EQ(g.edge_list(), want.edges) << "rmat scale " << scale;
+      seen.wrapped_to_zero += want.wrapped_to_zero;
+      seen.duplicates += want.duplicates;
+      seen.empty_rows += want.empty_rows;
+    }
+    {
+      util::Xoshiro256 rng(seed);
+      const CsrGraph g = CsrGraph::uniform(nodes, edges, rng);
+      const OracleGraph want = oracle_uniform(nodes, edges, seed);
+      ASSERT_EQ(g.offsets(), want.offsets) << "uniform scale " << scale;
+      ASSERT_EQ(g.edge_list(), want.edges) << "uniform scale " << scale;
+      seen.wrapped_to_zero += want.wrapped_to_zero;
+      seen.duplicates += want.duplicates;
+    }
+  }
+  // The comparison covered each edge case of the CSR build.
+  EXPECT_GT(seen.wrapped_to_zero, 0u);
+  EXPECT_GT(seen.duplicates, 0u);
+  EXPECT_GT(seen.empty_rows, 0u);
+}
+
+/// FNV-1a over the little-endian bytes of each value in turn.
+struct Fnv1a {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  template <typename T>
+  void add(T value) {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      h ^= static_cast<std::uint8_t>(static_cast<std::uint64_t>(value) >>
+                                     (8 * i));
+      h *= 0x100000001b3ull;
+    }
+  }
+};
+
+TEST(CsrOracle, PaperGraphIsPinned) {
+  const std::shared_ptr<const CsrGraph> g = build_graph(MultiprogConfig{});
+  Fnv1a d;
+  for (const std::uint32_t o : g->offsets()) d.add(o);
+  for (const NodeId e : g->edge_list()) d.add(e);
+  EXPECT_EQ(d.h, 0x79f004d0d7a51745ull);
+}
+
+TEST(WorkloadTrace, PaperSeedTracesArePinned) {
+  struct Pin {
+    WorkloadKind kind;
+    std::size_t ops;
+    std::uint64_t checksum;
+    std::uint64_t digest;
+  };
+  constexpr Pin kPins[] = {
+      {WorkloadKind::kBC, 2063620, 37592000, 0x93f236add8fcf31eull},
+      {WorkloadKind::kBFS, 566303, 17416, 0x8e5316c0fcf29947ull},
+      {WorkloadKind::kCC, 1197185, 15302, 0x07f3993ddb0b63f3ull},
+      {WorkloadKind::kTC, 6871491, 115507, 0xd8bca8e9850f3da3ull},
+      {WorkloadKind::kPR, 1179648, 714850, 0x641b860c27e189c9ull},
+      {WorkloadKind::kSSSP, 1756620, 96057, 0x9d7b1de15a43c217ull},
+  };
+  const std::shared_ptr<const CsrGraph> g = build_graph(MultiprogConfig{});
+  for (const Pin& pin : kPins) {
+    const WorkloadTrace t = build_trace(pin.kind, *g);
+    Fnv1a d;
+    for (const TraceOp& op : t.ops) {
+      d.add(op.index);
+      d.add(op.compute);
+      d.add(op.pc);
+      d.add(static_cast<std::uint8_t>(op.array));
+      d.add(static_cast<std::uint8_t>(op.write));
+    }
+    EXPECT_EQ(t.ops.size(), pin.ops) << to_string(pin.kind);
+    // Sized before emission: the trace never grew past its op count.
+    EXPECT_EQ(t.ops.capacity(), pin.ops) << to_string(pin.kind);
+    EXPECT_EQ(t.checksum, pin.checksum) << to_string(pin.kind);
+    EXPECT_EQ(d.h, pin.digest) << to_string(pin.kind);
+  }
 }
 
 TEST(WorkloadTrace, BfsChecksumMatchesReferenceBfs) {
@@ -227,8 +396,8 @@ CellOutcome fused_run(const MultiprogConfig& config, const WorkloadInput& in,
     const auto span_of = [&](std::uint64_t elems) {
       return (elems * 4 + vmem.page_bytes() - 1) / vmem.page_bytes();
     };
-    const std::uint64_t graph_elems[2] = {in.graph.nodes() + 1ull,
-                                          in.graph.edges()};
+    const std::uint64_t graph_elems[2] = {in.graph->nodes() + 1ull,
+                                          in.graph->edges()};
     sys::VAddr base[2][kArrayRefCount] = {};
     for (int i = 0; i < 2; ++i) {
       for (int g = 0; g < 2; ++g) {

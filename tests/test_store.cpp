@@ -1,11 +1,13 @@
 // Tests of the content-addressed experiment cache (src/store/): fingerprint
 // canonicalization (order-insensitivity, type tags, schema salt, the golden
 // pin), byte-stable record serialization, ResultCache backends (memory,
-// disk, corruption handling), WorkloadStore interning, and the CellRunner
+// disk, corruption handling), WorkloadStore interning (one graph per
+// graph fingerprint, built once under concurrent gets), and the CellRunner
 // warm-path contract — warm grids bit-identical to cold, serial and
 // parallel, with the verify mode aborting on a lying cache.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -14,6 +16,7 @@
 #include <iterator>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "store/cell_runner.hpp"
@@ -403,6 +406,76 @@ TEST(WorkloadStore, InternsByInputFingerprint) {
   EXPECT_NE(workloads.get(reseeded, graph::WorkloadKind::kBFS), a);
   EXPECT_NE(workloads.get(config, graph::WorkloadKind::kPR), a);
   EXPECT_EQ(workloads.size(), 3u);
+}
+
+TEST(WorkloadStore, KindsOfOneConfigShareOneGraph) {
+  const graph::MultiprogConfig config = tiny_config();
+  store::WorkloadStore workloads;
+  const graph::CsrGraph* shared =
+      workloads.get(config, graph::WorkloadKind::kBFS)->graph.get();
+  ASSERT_NE(shared, nullptr);
+  for (const graph::WorkloadKind kind : graph::kAllWorkloads) {
+    EXPECT_EQ(workloads.get(config, kind)->graph.get(), shared)
+        << to_string(kind);
+  }
+  EXPECT_EQ(workloads.graph_builds(), 1u);
+  EXPECT_EQ(workloads.size(), std::size(graph::kAllWorkloads))
+      << "size() counts inputs, not graphs";
+
+  graph::MultiprogConfig reseeded = config;
+  reseeded.graph_seed = 1234;
+  EXPECT_NE(workloads.get(reseeded, graph::WorkloadKind::kBFS)->graph.get(),
+            shared);
+  EXPECT_EQ(workloads.graph_builds(), 2u);
+  EXPECT_EQ(workloads.size(), std::size(graph::kAllWorkloads) + 1);
+}
+
+TEST(WorkloadStore, ConcurrentGetsBuildOneGraphAndSerialTraces) {
+  const graph::MultiprogConfig config = tiny_config();
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kKinds = std::size(graph::kAllWorkloads);
+  store::WorkloadStore workloads;
+  const graph::WorkloadInput* got[kThreads][kKinds] = {};
+  std::atomic<std::size_t> ready{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ++ready;
+      while (ready.load() < kThreads) {
+      }
+      // Each thread walks the kinds from a different start.
+      for (std::size_t i = 0; i < kKinds; ++i) {
+        const std::size_t k = (i + t) % kKinds;
+        got[t][k] = workloads.get(config, graph::kAllWorkloads[k]);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  EXPECT_EQ(workloads.graph_builds(), 1u);
+  EXPECT_EQ(workloads.size(), kKinds);
+  const std::shared_ptr<const graph::CsrGraph> serial_graph =
+      graph::build_graph(config);
+  for (std::size_t k = 0; k < kKinds; ++k) {
+    const graph::WorkloadKind kind = graph::kAllWorkloads[k];
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      ASSERT_EQ(got[t][k], got[0][k]) << to_string(kind);
+      EXPECT_EQ(got[t][k]->graph, got[0][0]->graph) << to_string(kind);
+    }
+    const graph::WorkloadTrace want =
+        graph::build_trace(kind, *serial_graph);
+    const graph::WorkloadTrace& trace = got[0][k]->trace;
+    EXPECT_EQ(trace.kind, kind);
+    EXPECT_EQ(trace.checksum, want.checksum) << to_string(kind);
+    ASSERT_EQ(trace.ops.size(), want.ops.size()) << to_string(kind);
+    const auto diff =
+        std::mismatch(trace.ops.begin(), trace.ops.end(), want.ops.begin());
+    EXPECT_EQ(diff.first, trace.ops.end())
+        << to_string(kind) << ": first differing op at "
+        << diff.first - trace.ops.begin();
+  }
+  EXPECT_EQ(got[0][0]->graph->offsets(), serial_graph->offsets());
+  EXPECT_EQ(got[0][0]->graph->edge_list(), serial_graph->edge_list());
 }
 
 // --- CellRunner ---------------------------------------------------------

@@ -9,8 +9,9 @@
 #   1. clang-tidy over src/ (.clang-tidy profile, warnings-as-errors),
 #   2. an ASan+UBSan build with -Werror of every target,
 #   3. the full ctest suite under the sanitizers with IMPACT_CHECK=1,
-#   4. a ThreadSanitizer build + the exec-engine tests under it (TSan and
-#      ASan cannot share a binary, so this is a separate build tree),
+#   4. a ThreadSanitizer build + the exec-engine tests and the
+#      WorkloadStore tests under it (TSan and ASan cannot share a binary,
+#      so this is a separate build tree),
 #   5. obs spine: `impact run quickstart --trace` JSON validation
 #      (dram/pim/channel spans present, events well-formed),
 #   6. experiment store: a cold->warm->warm cycle of `impact run fig11`
@@ -114,21 +115,22 @@ else
   FAILED=1
 fi
 
-# --- Stage 4: TSan over the exec engine ---------------------------------
-# The thread pool and sweep scheduler are the only concurrent code in the
-# repo; running their tests under ThreadSanitizer catches ordering bugs the
-# serial suite cannot. Separate build tree: TSan excludes ASan.
+# --- Stage 4: TSan over the exec engine and the workload store ----------
+# The thread pool, the sweep scheduler and store::WorkloadStore (built
+# from sweep workers at once) are the concurrent code in the repo; running
+# their tests under ThreadSanitizer catches ordering bugs the serial suite
+# cannot. Separate build tree: TSan excludes ASan.
 TSAN_DIR="${ROOT}/build-tsan"
 cmake -S "${ROOT}" -B "${TSAN_DIR}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DIMPACT_SANITIZE=thread \
   > /dev/null \
-  && cmake --build "${TSAN_DIR}" -j "${JOBS}" --target test_exec
+  && cmake --build "${TSAN_DIR}" -j "${JOBS}" --target test_exec test_store
 if [ $? -eq 0 ]; then
   ( cd "${TSAN_DIR}" \
-    && IMPACT_CHECK=1 \
-       TSAN_OPTIONS=halt_on_error=1 \
-       ctest -R test_exec --output-on-failure )
+    && export IMPACT_CHECK=1 TSAN_OPTIONS=halt_on_error=1 \
+    && ctest -R test_exec --output-on-failure \
+    && tests/test_store --gtest_filter='WorkloadStore.*' )
   stage tsan-exec $?
 else
   STATUS[tsan-exec]="FAIL (build)"
